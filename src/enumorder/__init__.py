@@ -53,14 +53,7 @@ from .ordertype import (
     normalize,
     refute_type2,
 )
-from .rational import (
-    Ordering,
-    Rational,
-    compare,
-    format_rational,
-    make_rational,
-    parse_rational,
-)
-from .seqlang import SequenceExpr, evaluate, parse, to_listing, to_text
+from .rational import format_rational, parse_rational
+from .seqlang import SequenceExpr, evaluate, parse, seq_spec, to_text
 
 __version__ = "0.1.0"

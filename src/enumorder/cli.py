@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import count
 from pathlib import Path
 
 from . import experiments
@@ -28,7 +27,6 @@ from .coorder import (
     MatchSuccess,
     match_listing,
     prefix_coorder,
-    search_shift_witnesses,
 )
 from .experiments import ReproReport
 from .listings import (
@@ -46,7 +44,7 @@ from .listings import (
     shift_spec,
 )
 from .rational import RationalParseError, parse_rational
-from .seqlang import evaluate, parse
+from .seqlang import parse, seq_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,11 +143,7 @@ def _resolve_seq(rest: str, segment: str) -> SetSpec:
         expr = parse(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
-
-    def stream():
-        return (evaluate(expr, i_value, n) for n in count(1))
-
-    return SetSpec(f"seq:{path_text}:i={i_value}", stream)
+    return seq_spec(expr, i_value, f"seq:{path_text}:i={i_value}")
 
 
 def _apply_modifier(spec: SetSpec, modifier: str) -> SetSpec:
@@ -244,11 +238,11 @@ def _svg_scatter(values: list[Fraction], title: str) -> str:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     spec = resolve_family(args.family)
-    values = spec.listing().try_prefix(args.count)
+    listing = spec.listing()
+    values = listing.try_prefix(args.count)
     if len(values) < args.count:
-        print(
-            f"note: listing ended after {len(values)} values", file=sys.stderr
-        )
+        how = "cut off" if listing.is_cut_off() else "ended"
+        print(f"note: listing {how} after {len(values)} values", file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps([str(v) for v in values]), args.out)
     elif args.format == "svg":
@@ -277,26 +271,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_type2(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
-    report = search_shift_witnesses(
-        spec_a.listing(), spec_b.listing(), args.mmax, args.nmax, args.prefix
-    )
-    pair = experiments._pair_outcome(spec_a, spec_b, list(report.cells))
+    pair = experiments.search_pair(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
+    clean = [c for c in pair.cells if c.witness is None]
     wrapped = ReproReport(
         "type2",
         {"m_max": args.mmax, "n_max": args.nmax, "prefix": args.prefix},
         [pair],
-        passed=not report.all_witnessed(),
+        passed=bool(clean),
     )
     if args.format == "json":
         _emit(_report_json(wrapped), args.out)
+    elif clean:
+        cells = ", ".join(f"({c.m},{c.n})" for c in clean)
+        _emit(f"candidate shift pairs with no witness below {args.prefix}: {cells}", args.out)
     else:
-        clean = report.candidates()
-        if clean:
-            cells = ", ".join(f"({c.m},{c.n})" for c in clean)
-            _emit(f"candidate shift pairs with no witness below {args.prefix}: {cells}", args.out)
-        else:
-            _emit(f"every shift pair has a witness below {args.prefix}", args.out)
-    return EXIT_OK if report.candidates() else EXIT_NEGATIVE
+        _emit(f"every shift pair has a witness below {args.prefix}", args.out)
+    return EXIT_OK if clean else EXIT_NEGATIVE
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -313,6 +303,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
         print(f"gap empty at step {outcome.step}: ({lo}, {hi}) — {outcome.detail}")
         return EXIT_NEGATIVE
     print(f"fuel exhausted at step {outcome.step} after {outcome.drawn} draws")
+    if outcome.cut_off:
+        print(
+            f"note: target listing cut off after {outcome.drawn} values; "
+            "the set may be infinite, so no refutation is drawn",
+            file=sys.stderr,
+        )
     return EXIT_INCONCLUSIVE
 
 
@@ -334,6 +330,17 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+def _natural(text: str) -> int:
+    """Argument type of the count and bound options: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enumorder",
@@ -343,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="print the first values of a family")
     p_list.add_argument("family")
-    p_list.add_argument("--count", type=int, default=10)
+    p_list.add_argument("--count", type=_natural, default=10)
     p_list.add_argument("--format", choices=("text", "json", "svg"), default="text")
     p_list.add_argument("--out")
     p_list.set_defaults(func=_cmd_list)
@@ -351,15 +358,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="co-order check on listing prefixes")
     p_check.add_argument("left")
     p_check.add_argument("right")
-    p_check.add_argument("--prefix", "-N", type=int, default=experiments.DEFAULT_PREFIX)
+    p_check.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
     p_check.set_defaults(func=_cmd_check)
 
     p_type2 = sub.add_parser("type2", help="witness search over shift pairs")
     p_type2.add_argument("left")
     p_type2.add_argument("right")
-    p_type2.add_argument("--mmax", type=int, default=experiments.DEFAULT_M_MAX)
-    p_type2.add_argument("--nmax", type=int, default=experiments.DEFAULT_N_MAX)
-    p_type2.add_argument("--prefix", "-N", type=int, default=experiments.DEFAULT_PREFIX)
+    p_type2.add_argument("--mmax", type=_natural, default=experiments.DEFAULT_M_MAX)
+    p_type2.add_argument("--nmax", type=_natural, default=experiments.DEFAULT_N_MAX)
+    p_type2.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
     p_type2.add_argument("--format", choices=("text", "json"), default="text")
     p_type2.add_argument("--out")
     p_type2.set_defaults(func=_cmd_type2)
@@ -367,16 +374,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="greedily match one family's listing into another")
     p_match.add_argument("left")
     p_match.add_argument("right")
-    p_match.add_argument("--prefix", "-N", type=int, default=20)
-    p_match.add_argument("--fuel", type=int, default=10_000)
+    p_match.add_argument("--prefix", "-N", type=_natural, default=20)
+    p_match.add_argument("--fuel", type=_natural, default=10_000)
     p_match.set_defaults(func=_cmd_match)
 
     p_repro = sub.add_parser("repro", help="run a scripted experiment, emit a JSON report")
     p_repro.add_argument("name")
     p_repro.add_argument("--imax", type=int, default=5)
-    p_repro.add_argument("--mmax", type=int, default=experiments.DEFAULT_M_MAX)
-    p_repro.add_argument("--nmax", type=int, default=experiments.DEFAULT_N_MAX)
-    p_repro.add_argument("--prefix", "-N", type=int, default=experiments.DEFAULT_PREFIX)
+    p_repro.add_argument("--mmax", type=_natural, default=experiments.DEFAULT_M_MAX)
+    p_repro.add_argument("--nmax", type=_natural, default=experiments.DEFAULT_N_MAX)
+    p_repro.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
     p_repro.add_argument(
         "--schedule",
         default=",".join(str(n) for n in experiments.DEFAULT_GROWTH_SCHEDULE),
@@ -396,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (FamilyRefError, ListingExhausted, ValueError) as exc:
+    except (ListingExhausted, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .listings import DuplicateValuesError, Listing, SetSpec
+from .listings import DuplicateValuesError, Listing, SetSpec, in_gap
 
 
 class OracleSizeError(ValueError):
@@ -205,18 +205,16 @@ class GapEmpty:
 @dataclass(frozen=True)
 class FuelExhausted:
     """Inconclusive: the draw budget ran out before a fitting element
-    appeared."""
+    appeared. ``cut_off`` marks a pool stopped early by the duplicate limit,
+    so the target may still hold more values than were drawn."""
 
     step: int
     partial: tuple[Fraction, ...]
     drawn: int
+    cut_off: bool
 
 
 MatchOutcome = MatchSuccess | GapEmpty | FuelExhausted
-
-
-def _in_gap(v: Fraction, lo: Fraction | None, hi: Fraction | None) -> bool:
-    return (lo is None or v > lo) and (hi is None or v < hi)
 
 
 def _exact_feasible(
@@ -258,7 +256,8 @@ def match_listing(
     probed up front — at most ``fuel`` fresh values, stopping early if the
     stream ends — and picks scan the drawn pool in listing order.
 
-    When the probe exhausts the target, its full content is known and every
+    When the probe exhausts the target (its stream ends, rather than being
+    cut off by the duplicate limit), its full content is known and every
     pick is feasibility-checked against the remaining pattern, so a match is
     found whenever one exists. Otherwise picks are plain first-fit; if no
     drawn value fits, a gap oracle may still certify the gap empty (a sound
@@ -285,7 +284,7 @@ def match_listing(
                     hi = chosen[t]
         pick = None
         for p, value in enumerate(pool):
-            if used[p] or not _in_gap(value, lo, hi):
+            if used[p] or not in_gap(value, lo, hi):
                 continue
             if exhausted and not _exact_feasible(hv, k, chosen, value, pool, used, p):
                 continue
@@ -298,7 +297,7 @@ def match_listing(
                 )
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
                 return GapEmpty(k, lo, hi, tuple(chosen), "gap oracle certifies the gap empty")
-            return FuelExhausted(k, tuple(chosen), len(pool))
+            return FuelExhausted(k, tuple(chosen), len(pool), target_listing.is_cut_off())
         used[pick] = True
         chosen.append(pool[pick])
         picks.append(pick)

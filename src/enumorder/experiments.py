@@ -135,6 +135,15 @@ def _pair_outcome(spec_a: SetSpec, spec_b: SetSpec, cells: list[Cell]) -> PairOu
     )
 
 
+def search_pair(
+    spec_a: SetSpec, spec_b: SetSpec, m_max: int, n_max: int, prefix: int
+) -> PairOutcome:
+    """Minimal witness per shift cell for one pair, beside its descriptor
+    verdict."""
+    report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, prefix)
+    return _pair_outcome(spec_a, spec_b, list(report.cells))
+
+
 def run_theorem9(
     i_max: int,
     m_max: int = DEFAULT_M_MAX,
@@ -152,11 +161,7 @@ def run_theorem9(
     pairs = []
     for i in range(1, i_max + 1):
         for j in range(i + 1, i_max + 1):
-            spec_a, spec_b = build_A(i), build_A(j)
-            report = search_shift_witnesses(
-                spec_a.listing(), spec_b.listing(), m_max, n_max, prefix
-            )
-            pairs.append(_pair_outcome(spec_a, spec_b, list(report.cells)))
+            pairs.append(search_pair(build_A(i), build_A(j), m_max, n_max, prefix))
     passed = all(p.verdict == "refuted" and p.all_witnessed() for p in pairs)
     return ReproReport(
         "theorem9",
@@ -185,10 +190,7 @@ def run_theorem5(
     pairs = []
     for i in range(1, i_max):
         left = interleave([build_A(i), build_T(i + 1)])
-        report = search_shift_witnesses(
-            left.listing(), base.listing(), m_max, n_max, prefix
-        )
-        pairs.append(_pair_outcome(left, base, list(report.cells)))
+        pairs.append(search_pair(left, base, m_max, n_max, prefix))
     passed = all(p.all_witnessed() for p in pairs)
     return ReproReport(
         "theorem5",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .ordertype import (
@@ -38,8 +38,8 @@ from .ordertype import (
 GapOracle = Callable[[Optional[Fraction], Optional[Fraction]], bool]
 
 # A raw generator that repeats forever is cut off after this many consecutive
-# duplicates, so eventually-constant generators yield finite listings instead
-# of hanging.
+# duplicates, so eventually-constant generators do not hang. A cut-off listing
+# has not ended: the set it lists may still be infinite.
 DEDUP_RUN_LIMIT = 10_000
 
 
@@ -49,6 +49,11 @@ class ListingExhausted(Exception):
     def __init__(self, length: int):
         super().__init__(f"listing ended after {length} values")
         self.length = length
+
+
+class ListingCutOff(Exception):
+    """A walk reached the point where the duplicate limit cut a listing off;
+    what follows is unknown, not absent."""
 
 
 class NonNaturalIndexError(ValueError):
@@ -66,7 +71,25 @@ class Listing:
         self._stream = stream
         self._memo: list[Fraction] = []
         self._seen: set[Fraction] = set()
-        self._done = False
+        self._ended = False
+        self._cut_off = False
+
+    def __iter__(self) -> Iterator[Fraction]:
+        """Replay from index 0, stopping where the listing ends.
+
+        Raises :class:`ListingCutOff` where it was cut off instead, so a
+        listing drawn from this walk is cut off there too.
+        """
+        k = 0
+        while True:
+            if k == len(self._memo):
+                self._fill(k + 1)
+                if k == len(self._memo):
+                    if self._cut_off:
+                        raise ListingCutOff
+                    return
+            yield self._memo[k]
+            k += 1
 
     def value_at(self, k: int) -> Fraction:
         if k < 0:
@@ -90,20 +113,26 @@ class Listing:
 
     def is_exhausted(self) -> bool:
         """True once the underlying stream is known to have ended."""
-        return self._done
+        return self._ended
+
+    def is_cut_off(self) -> bool:
+        """True once a duplicate run stopped the draw, here or in a walked listing."""
+        return self._cut_off
 
     def _fill(self, n: int) -> None:
         run = 0
-        while not self._done and len(self._memo) < n:
+        while len(self._memo) < n and not (self._ended or self._cut_off):
             try:
                 value = next(self._stream)
             except StopIteration:
-                self._done = True
+                self._ended = True
+                break
+            except ListingCutOff:
+                self._cut_off = True
                 break
             if value in self._seen:
                 run += 1
-                if run >= DEDUP_RUN_LIMIT:
-                    self._done = True
+                self._cut_off = run >= DEDUP_RUN_LIMIT
                 continue
             run = 0
             self._seen.add(value)
@@ -132,22 +161,17 @@ def shift(h: Listing, m: int) -> Listing:
     """Listing whose index ``i`` reads index ``i + m`` of the input."""
     if m < 0:
         raise ValueError(f"shift must be nonnegative, got {m}")
-
-    def stream() -> Iterator[Fraction]:
-        k = m
-        while True:
-            try:
-                yield h.value_at(k)
-            except ListingExhausted:
-                return
-            k += 1
-
-    return Listing(stream())
+    return Listing(islice(h, m, None))
 
 
 # ---------------------------------------------------------------------------
 # Gap-oracle helpers
 # ---------------------------------------------------------------------------
+
+
+def in_gap(v: Fraction, lo: Fraction | None, hi: Fraction | None) -> bool:
+    """Does ``v`` lie strictly inside (lo, hi)? None is an unbounded end."""
+    return (lo is None or v > lo) and (hi is None or v < hi)
 
 
 def _meets_reciprocals(lo: Fraction | None, hi: Fraction | None) -> bool:
@@ -181,9 +205,7 @@ def _finite_oracle(values: Sequence[Fraction]) -> GapOracle:
     vals = list(values)
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
-        return any(
-            (lo is None or v > lo) and (hi is None or v < hi) for v in vals
-        )
+        return any(in_gap(v, lo, hi) for v in vals)
 
     return oracle
 
@@ -205,9 +227,7 @@ def _minus_finite_oracle(base: GapOracle, removed: Sequence[Fraction]) -> GapOra
     points = sorted(set(removed))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
-        inside = [
-            p for p in points if (lo is None or p > lo) and (hi is None or p < hi)
-        ]
+        inside = [p for p in points if in_gap(p, lo, hi)]
         bounds: list[Fraction | None] = [lo, *inside, hi]
         return any(base(bounds[t], bounds[t + 1]) for t in range(len(bounds) - 1))
 
@@ -247,18 +267,12 @@ def builtin_dyadic(index_listing: Listing) -> SetSpec:
     """Powers 2**(-m) for each m drawn from an index listing of naturals."""
 
     def stream() -> Iterator[Fraction]:
-        k = 0
-        while True:
-            try:
-                v = index_listing.value_at(k)
-            except ListingExhausted:
-                return
+        for k, v in enumerate(index_listing):
             if v.denominator != 1 or v < 0:
                 raise NonNaturalIndexError(
                     f"index listing produced {v} at position {k}; expected a natural number"
                 )
             yield Fraction(1, 2 ** int(v))
-            k += 1
 
     return SetSpec("dyadic", stream)
 
@@ -290,29 +304,24 @@ def build_T(i: int) -> SetSpec:
 def interleave(specs: Sequence[SetSpec]) -> SetSpec:
     """Round-robin union of the inputs' listings, first occurrence winning.
 
-    Exhausted inputs drop out of the rotation; duplicate values across inputs
-    are skipped by the listing layer, so the result stays injective even when
-    ranges overlap.
+    Inputs that end drop out of the rotation; one that is cut off cuts the
+    union off there. Duplicate values across inputs are skipped by the
+    listing layer, so the result stays injective even when ranges overlap.
     """
     if not specs:
         raise ValueError("interleave needs at least one input")
     specs = list(specs)
 
     def stream() -> Iterator[Fraction]:
-        listings = [s.listing() for s in specs]
-        positions = [0] * len(listings)
-        alive = [True] * len(listings)
-        while any(alive):
-            for t, ls in enumerate(listings):
-                if not alive[t]:
-                    continue
-                try:
-                    value = ls.value_at(positions[t])
-                except ListingExhausted:
-                    alive[t] = False
-                    continue
-                positions[t] += 1
-                yield value
+        walks = [iter(s.listing()) for s in specs]
+        while walks:
+            live = []
+            for walk in walks:
+                value = next(walk, None)
+                if value is not None:
+                    live.append(walk)
+                    yield value
+            walks = live
 
     oracles = [s.gap_oracle for s in specs]
     oracle = _union_oracle(oracles) if all(o is not None for o in oracles) else None
@@ -506,14 +515,7 @@ def shift_spec(spec: SetSpec, m: int) -> SetSpec:
     removed = spec.listing().try_prefix(m)
 
     def stream() -> Iterator[Fraction]:
-        ls = spec.listing()
-        k = m
-        while True:
-            try:
-                yield ls.value_at(k)
-            except ListingExhausted:
-                return
-            k += 1
+        return islice(spec.listing(), m, None)
 
     oracle = (
         _minus_finite_oracle(spec.gap_oracle, removed)

@@ -1,4 +1,4 @@
-"""Exact rational values: construction, comparison, arithmetic, and text form.
+"""Text form of exact rational values.
 
 Values are ``fractions.Fraction`` instances: arbitrary-precision, always in
 lowest terms with a positive denominator, so equality is structural and
@@ -8,82 +8,21 @@ comparison is exact cross-multiplication with no rounding anywhere.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class ZeroDenominatorError(ZeroDivisionError):
-    """A rational was constructed or parsed with denominator zero."""
-
-
-class DivisionByZeroError(ZeroDivisionError):
-    """Exact division by the zero rational."""
+    """A rational was parsed with denominator zero."""
 
 
 class RationalParseError(ValueError):
     """Text does not match the ``p/q`` form."""
 
 
-class Ordering(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
-def make_rational(s: int, a: int, b: int) -> Rational:
-    """Build ``(-1)**s * a/b`` in canonical lowest terms.
-
-    ``a`` is a nonnegative numerator, ``b`` a positive denominator, ``s`` a
-    parity flag selecting the sign.
-    """
-    if b == 0:
-        raise ZeroDenominatorError("denominator must be nonzero")
-    if a < 0 or b < 0:
-        raise ValueError(f"numerator/denominator must be natural numbers, got a={a}, b={b}")
-    value = Fraction(a, b)
-    return -value if s % 2 else value
-
-
-def compare(x: Rational, y: Rational) -> Ordering:
-    """Total order consistent with the real-number order."""
-    if x < y:
-        return Ordering.LT
-    if x > y:
-        return Ordering.GT
-    return Ordering.EQ
-
-
-def add(x: Rational, y: Rational) -> Rational:
-    return x + y
-
-
-def sub(x: Rational, y: Rational) -> Rational:
-    return x - y
-
-
-def mul(x: Rational, y: Rational) -> Rational:
-    return x * y
-
-
-def div(x: Rational, y: Rational) -> Rational:
-    if y == 0:
-        raise DivisionByZeroError("division by the zero rational")
-    return x / y
-
-
-def pow_nonneg(x: Rational, exponent: int) -> Rational:
-    """Raise to a nonnegative machine-integer power."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
-    return x**exponent
-
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse the textual form ``p/q`` (``q`` omitted when 1, optional minus)."""
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
@@ -95,6 +34,6 @@ def parse_rational(text: str) -> Rational:
     return Fraction(p, q)
 
 
-def format_rational(x: Rational) -> str:
+def format_rational(x: Fraction) -> str:
     """Inverse of :func:`parse_rational`; round-trips exactly."""
     return str(x)

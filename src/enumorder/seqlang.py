@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator
 
-from .listings import Listing
+from .listings import SetSpec
 
 
 class SeqSyntaxError(ValueError):
@@ -414,15 +414,15 @@ def _eval(e: Expr, i: int, n: int) -> Fraction:
     return left / right
 
 
-def to_listing(expr: SequenceExpr, i: int) -> Listing:
-    """Listing whose index ``k`` evaluates the definition at ``n = k + 1``.
+def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:
+    """Set spec whose natural listing evaluates the definition at
+    ``n = 1, 2, ...`` for the family member ``i``.
 
-    Repeated values are skipped by the listing layer, so a definition that
-    revisits values (or is constant) yields a finite injective listing.
+    Repeated values are skipped by the listing layer; a definition that stays
+    on old values for ``DEDUP_RUN_LIMIT`` steps in a row is cut off there.
     """
 
     def stream() -> Iterator[Fraction]:
-        for n in count(1):
-            yield evaluate(expr, i, n)
+        return (evaluate(expr, i, n) for n in count(1))
 
-    return Listing(stream())
+    return SetSpec(name, stream)

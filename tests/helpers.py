@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import count
 
 from enumorder.listings import (
     SetSpec,
@@ -20,18 +19,9 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
-from enumorder.seqlang import evaluate, parse
+from enumorder.seqlang import parse, seq_spec
 
 _FAMILY_TEXT = "case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n"
-
-
-def _seq_spec(i: int) -> SetSpec:
-    expr = parse(_FAMILY_TEXT)
-
-    def stream():
-        return (evaluate(expr, i, n) for n in count(1))
-
-    return SetSpec(f"seqfam:i={i}", stream)
 
 
 def spec_factories():
@@ -60,8 +50,8 @@ def spec_factories():
         lambda: shift_spec(builtin_harmonic(), 3),
         lambda: interleave([build_T(1), build_T(3)]),
         lambda: interleave([builtin_harmonic(), builtin_thirds()]),
-        lambda: _seq_spec(2),
-        lambda: _seq_spec(5),
+        lambda: seq_spec(parse(_FAMILY_TEXT), 2, "seqfam:i=2"),
+        lambda: seq_spec(parse(_FAMILY_TEXT), 5, "seqfam:i=5"),
     ]
 
 

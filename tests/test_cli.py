@@ -9,6 +9,11 @@ from enumorder.listings import build_T
 from enumorder.rational import parse_rational
 
 
+# Ten thousand and one zeros, then n: infinite, but the duplicate run trips
+# the listing's cut-off after the first value.
+PLATEAU_TEXT = "case n < 10002: 0 ; case otherwise: n\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -77,6 +82,16 @@ def test_list_truncation_notice(capsys):
     assert code == 0
     assert out.strip() == "3, 1/2"
     assert "ended after 2 values" in err
+
+
+def test_list_cut_off_notice(tmp_path, capsys):
+    path = tmp_path / "plateau.seq"
+    path.write_text(PLATEAU_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "list", f"seq:{path}", "--count", "3")
+    assert code == 0
+    assert out.strip() == "0"
+    assert "cut off after 1 values" in err
+    assert "ended" not in err
 
 
 def test_list_json(capsys):
@@ -220,6 +235,22 @@ def test_match_inconclusive_without_oracle(tmp_path, capsys):
     assert "fuel exhausted" in out
 
 
+def test_match_cut_off_target_is_inconclusive(tmp_path, capsys):
+    path = tmp_path / "plateau.seq"
+    path.write_text(PLATEAU_TEXT, encoding="utf-8")
+    code, out, err = run(
+        capsys, "match", "finite:1,2", f"seq:{path}", "--prefix", "2", "--fuel", "20000"
+    )
+    assert code == 3
+    assert out.splitlines() == ["fuel exhausted at step 1 after 1 draws"]
+    assert "cut off after 1 values" in err
+    code, out, err = run(
+        capsys, "match", "finite:1", f"seq:{path}+shift=1", "--prefix", "1", "--fuel", "20000"
+    )
+    assert code == 3
+    assert "cut off after 0 values" in err
+
+
 # --- repro -------------------------------------------------------------------------
 
 
@@ -279,3 +310,41 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_arguments_is_usage_error(capsys):
     assert main(["check", "harmonic"]) == 1
+
+
+def test_negative_prefix_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "harmonic", "T:2", "--prefix", "-5")
+    assert (code, out) == (1, "")
+    assert "--prefix" in err and "must be >= 0" in err
+
+
+def test_negative_mmax_is_usage_error(capsys):
+    code, out, err = run(capsys, "type2", "A:1", "A:2", "--mmax", "-1")
+    assert (code, out) == (1, "")
+    assert "--mmax" in err and "must be >= 0" in err
+
+
+def test_negative_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "list", "harmonic", "--count", "-3")
+    assert (code, out) == (1, "")
+    assert "--count" in err and "must be >= 0" in err
+
+
+def test_negative_fuel_is_usage_error(capsys):
+    code, out, err = run(capsys, "match", "harmonic", "interval:0,1", "--fuel", "-5")
+    assert (code, out) == (1, "")
+    assert "--fuel" in err and "must be >= 0" in err
+
+
+def test_non_integer_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "list", "harmonic", "--count", "x")
+    assert code == 1
+    assert "invalid int value: 'x'" in err
+
+
+def test_evaluation_error_is_one_line_message(tmp_path, capsys):
+    path = tmp_path / "pole.seq"
+    path.write_text("1/(n-3)\n", encoding="utf-8")
+    code, out, err = run(capsys, "list", f"seq:{path}", "--count", "3")
+    assert code == 1
+    assert err == "error: division by zero at (i=1, n=3)\n"

@@ -25,6 +25,7 @@ from enumorder.coorder import (
     witness_pairs,
 )
 from enumorder.listings import (
+    DEDUP_RUN_LIMIT,
     DuplicateValuesError,
     ListingExhausted,
     SetSpec,
@@ -326,6 +327,21 @@ def test_match_without_oracle_is_inconclusive():
     outcome = match_listing(builtin_harmonic().listing(), bare, 10, 300)
     assert isinstance(outcome, FuelExhausted)
     assert outcome.drawn == 300
+
+
+def test_match_cut_off_target_is_not_refuted():
+    # One value, then a duplicate run long enough to trip the cut-off: the
+    # set is infinite, so a one-value pool must not count as the whole target.
+    def stream():
+        yield F(0)
+        yield from [F(0)] * DEDUP_RUN_LIMIT
+        yield from (F(n) for n in itertools.count(1))
+
+    plateau = SetSpec("plateau", stream)
+    outcome = match_listing(finite_listing([F(1), F(2)]).listing(), plateau, 2, 20000)
+    assert isinstance(outcome, FuelExhausted)
+    assert outcome.cut_off
+    assert outcome.drawn == 1
 
 
 def test_match_finite_pair_smaller_than_prefix_is_refuted():

@@ -1,0 +1,65 @@
+"""Design rules of the package source, checked on its syntax tree.
+
+No module may reach an underscore name of another module: neither
+``from .x import _y`` nor ``x._y`` on an imported sibling module. What one
+module needs from another is public there.
+"""
+
+import ast
+from pathlib import Path
+
+import enumorder
+
+PACKAGE = Path(enumorder.__file__).resolve().parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_references(package: Path) -> list[str]:
+    """``file:line: text`` for every cross-module underscore reference."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()  # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                in_package = node.level > 0 or (node.module or "").startswith("enumorder")
+                if not in_package:
+                    continue
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+                    if node.module in (None, "enumorder"):
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("enumorder."):
+                        modules.add(alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _private(node.attr)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_another_modules_private_names():
+    assert private_references(PACKAGE) == []
+
+
+def test_rule_catches_both_forms(tmp_path):
+    (tmp_path / "a.py").write_text("def _hidden():\n    pass\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import _hidden\n\n\ndef f(self):\n"
+        "    return a._hidden, self._state, a.__name__\n",
+        encoding="utf-8",
+    )
+    assert private_references(tmp_path) == [
+        "b.py:2: imports _hidden",
+        "b.py:6: a._hidden",
+    ]

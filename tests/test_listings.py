@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
 from enumorder.listings import (
+    DEDUP_RUN_LIMIT,
     DuplicateValuesError,
     Listing,
+    ListingCutOff,
     ListingExhausted,
     NonNaturalIndexError,
+    SetSpec,
     add_finite,
     build_A,
     build_T,
@@ -382,3 +385,46 @@ def test_dedup_run_limit_finishes_constant_streams():
     with pytest.raises(ListingExhausted) as failure:
         ls.value_at(1)
     assert failure.value.length == 1
+    # Cut off by the duplicate limit, which is not an end of the stream.
+    assert ls.is_cut_off()
+    assert not ls.is_exhausted()
+
+
+def test_cut_off_carries_through_derived_listings():
+    def plateau():
+        yield from [F(0)] * (DEDUP_RUN_LIMIT + 1)
+        yield from (F(n) for n in count(1))
+
+    spec = SetSpec("plateau", plateau)
+    walk = iter(spec.listing())
+    assert next(walk) == F(0)
+    with pytest.raises(ListingCutOff):
+        next(walk)
+    derived = [
+        shift(spec.listing(), 1),
+        shift_spec(spec, 1).listing(),
+        interleave([spec, finite_listing([F(-1), F(-2), F(-3)])]).listing(),
+    ]
+    for ls in derived:
+        ls.try_prefix(10)
+        assert ls.is_cut_off() and not ls.is_exhausted()
+    # The union stops where its first input was cut off.
+    assert derived[2].try_prefix(10) == [F(0), F(-1)]
+
+
+def test_real_end_is_not_a_cut_off():
+    ls = finite_listing([F(1), F(1, 2)]).listing()
+    assert ls.try_prefix(5) == [F(1), F(1, 2)]
+    assert ls.is_exhausted()
+    assert not ls.is_cut_off()
+
+
+def test_dedup_run_limit_counts_only_consecutive_duplicates():
+    def stream():
+        for n in range(1, 4):
+            yield from [F(n)] * (DEDUP_RUN_LIMIT - 1)
+
+    ls = Listing(stream())
+    assert list(ls) == [F(1), F(2), F(3)]
+    assert ls.is_exhausted()
+    assert not ls.is_cut_off()

@@ -1,4 +1,4 @@
-"""Exact rational construction, comparison, arithmetic, and text form."""
+"""Text form of exact rationals: parsing, formatting, round trip."""
 
 from fractions import Fraction
 
@@ -7,101 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enumorder.rational import (
-    DivisionByZeroError,
-    Ordering,
     RationalParseError,
     ZeroDenominatorError,
-    add,
-    compare,
-    div,
     format_rational,
-    make_rational,
-    mul,
     parse_rational,
-    pow_nonneg,
-    sub,
 )
 
 rationals_st = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=200
 )
-
-
-def test_make_rational_normalizes():
-    assert make_rational(0, 2, 4) == Fraction(1, 2)
-    assert make_rational(1, 3, 3) == Fraction(-1)
-    assert make_rational(0, 0, 5) == Fraction(0)
-
-
-def test_make_rational_canonical_fields():
-    value = make_rational(1, 6, 4)
-    assert value.numerator == -3
-    assert value.denominator == 2
-    zero = make_rational(1, 0, 7)
-    assert (zero.numerator, zero.denominator) == (0, 1)
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDenominatorError):
-        make_rational(0, 1, 0)
-
-
-def test_make_rational_rejects_negative_parts():
-    with pytest.raises(ValueError):
-        make_rational(0, -1, 2)
-    with pytest.raises(ValueError):
-        make_rational(0, 1, -2)
-
-
-def test_compare_examples():
-    assert compare(Fraction(1, 2), Fraction(2, 3)) is Ordering.LT
-    assert compare(Fraction(4, 6), Fraction(2, 3)) is Ordering.EQ
-    assert compare(Fraction(-1, 3), Fraction(-1, 2)) is Ordering.GT
-
-
-@given(rationals_st, rationals_st)
-def test_compare_antisymmetric(x, y):
-    forward = compare(x, y)
-    backward = compare(y, x)
-    if forward is Ordering.LT:
-        assert backward is Ordering.GT
-    elif forward is Ordering.GT:
-        assert backward is Ordering.LT
-    else:
-        assert backward is Ordering.EQ
-        assert x == y
-
-
-@given(rationals_st)
-def test_compare_reflexive(x):
-    assert compare(x, x) is Ordering.EQ
-
-
-def test_arithmetic_examples():
-    assert add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert mul(Fraction(2, 3), Fraction(3, 2)) == Fraction(1)
-    assert sub(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-    with pytest.raises(DivisionByZeroError):
-        div(Fraction(1, 2), Fraction(0))
-
-
-@given(rationals_st, rationals_st)
-def test_arithmetic_against_cross_multiplication(x, y):
-    # Independent integer-level check of the exact arithmetic.
-    p1, q1, p2, q2 = x.numerator, x.denominator, y.numerator, y.denominator
-    assert add(x, y) == Fraction(p1 * q2 + p2 * q1, q1 * q2)
-    assert sub(x, y) == Fraction(p1 * q2 - p2 * q1, q1 * q2)
-    assert mul(x, y) == Fraction(p1 * p2, q1 * q2)
-    if y != 0:
-        assert div(x, y) == Fraction(p1 * q2, q1 * p2)
-    assert (compare(x, y) is Ordering.LT) == (p1 * q2 < p2 * q1)
-
-
-def test_pow_nonneg():
-    assert pow_nonneg(Fraction(2, 3), 3) == Fraction(8, 27)
-    assert pow_nonneg(Fraction(5), 0) == Fraction(1)
-    with pytest.raises(ValueError):
-        pow_nonneg(Fraction(2), -1)
 
 
 def test_parse_examples():

@@ -22,7 +22,7 @@ from enumorder.seqlang import (
     Var,
     evaluate,
     parse,
-    to_listing,
+    seq_spec,
     to_text,
 )
 
@@ -153,23 +153,26 @@ def test_family_matches_builtin_blocks():
 
 
 def test_to_listing_matches_block_family():
-    expr = parse(FAMILY_TEXT)
-    assert to_listing(expr, 1).prefix(100) == build_T(1).listing().prefix(100)
+    spec = seq_spec(parse(FAMILY_TEXT), 1, "seqfam:i=1")
+    assert spec.name == "seqfam:i=1"
+    assert spec.listing().prefix(100) == build_T(1).listing().prefix(100)
 
 
 def test_to_listing_thirds_shape():
-    assert to_listing(parse("n/3"), 0).prefix(3) == [F(1, 3), F(2, 3), F(1)]
+    assert seq_spec(parse("n/3"), 0, "thirds").listing().prefix(3) == [F(1, 3), F(2, 3), F(1)]
 
 
 def test_constant_expression_dedups_to_singleton():
-    ls = to_listing(parse("1"), 0)
+    ls = seq_spec(parse("1"), 0, "one").listing()
     assert ls.try_prefix(4) == [F(1)]
     with pytest.raises(ListingExhausted):
         ls.value_at(1)
+    # The duplicate limit stopped the draw; the stream itself never ended.
+    assert ls.is_cut_off() and not ls.is_exhausted()
 
 
 def test_to_listing_propagates_evaluation_errors():
-    ls = to_listing(parse("1/(n-1)"), 0)
+    ls = seq_spec(parse("1/(n-1)"), 0, "pole").listing()
     with pytest.raises(EvalDivisionByZero):
         ls.value_at(0)
 
