@@ -13,6 +13,7 @@ from .coorder import (
     WitnessReport,
     brute_force_coorder_oracle,
     finite_coorder,
+    first_split,
     match_listing,
     order_pattern,
     prefix_coorder,
@@ -20,6 +21,7 @@ from .coorder import (
     project_second,
     search_shift_witnesses,
     witness_pairs,
+    witness_projections,
 )
 from .listings import (
     Listing,

@@ -43,7 +43,7 @@ from .listings import (
     remove_finite,
     shift_spec,
 )
-from .rational import RationalParseError, parse_rational
+from .rational import RationalParseError, format_rational, parse_rational
 from .seqlang import parse, seq_spec
 
 EXIT_OK = 0
@@ -220,12 +220,12 @@ def _svg_scatter(values: list[Fraction], title: str) -> str:
         parts.append(axis)
         for label, v in (("min", lo), ("max", hi)):
             parts.append(
-                f'<text x="4" y="{y_at(v):.2f}" font-size="11">{v}</text>'
+                f'<text x="4" y="{y_at(v):.2f}" font-size="11">{format_rational(v)}</text>'
             )
         for k, v in enumerate(values):
             parts.append(
                 f'<circle cx="{x_at(k):.2f}" cy="{y_at(v):.2f}" r="3" fill="steelblue">'
-                f"<title>({k}, {v})</title></circle>"
+                f"<title>({k}, {format_rational(v)})</title></circle>"
             )
     parts.append("</svg>")
     return "".join(parts)
@@ -244,11 +244,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
         how = "cut off" if listing.is_cut_off() else "ended"
         print(f"note: listing {how} after {len(values)} values", file=sys.stderr)
     if args.format == "json":
-        _emit(json.dumps([str(v) for v in values]), args.out)
+        _emit(json.dumps([format_rational(v) for v in values]), args.out)
     elif args.format == "svg":
         _emit(_svg_scatter(values, spec.name), args.out)
     else:
-        _emit(", ".join(str(v) for v in values), args.out)
+        _emit(", ".join(format_rational(v) for v in values), args.out)
     return EXIT_OK
 
 
@@ -262,8 +262,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     w = verdict.witness
     print(
         f"disagree at (i={w.i}, j={w.j}): "
-        f"{spec_a.name} orders {w.h_i} vs {w.h_j}, "
-        f"{spec_b.name} orders {w.g_i} vs {w.g_j}"
+        f"{spec_a.name} orders {format_rational(w.h_i)} vs {format_rational(w.h_j)}, "
+        f"{spec_b.name} orders {format_rational(w.g_i)} vs {format_rational(w.g_j)}"
     )
     return EXIT_NEGATIVE
 
@@ -294,12 +294,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
     spec_b = resolve_family(args.right)
     outcome = match_listing(spec_a.listing(), spec_b, args.prefix, args.fuel)
     if isinstance(outcome, MatchSuccess):
-        print(", ".join(str(v) for v in outcome.values))
+        print(", ".join(format_rational(v) for v in outcome.values))
         print(f"matched {len(outcome.values)} values using {outcome.drawn} draws")
         return EXIT_OK
     if isinstance(outcome, GapEmpty):
-        lo = "-inf" if outcome.lo is None else str(outcome.lo)
-        hi = "+inf" if outcome.hi is None else str(outcome.hi)
+        lo = "-inf" if outcome.lo is None else format_rational(outcome.lo)
+        hi = "+inf" if outcome.hi is None else format_rational(outcome.hi)
         print(f"gap empty at step {outcome.step}: ({lo}, {hi}) — {outcome.detail}")
         return EXIT_NEGATIVE
     print(f"fuel exhausted at step {outcome.step} after {outcome.drawn} draws")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import NamedTuple
 
 from .listings import DuplicateValuesError, Listing, SetSpec, in_gap
@@ -76,6 +76,33 @@ def order_pattern(h: Listing, length: int) -> list[int]:
     return ranks
 
 
+def first_split(
+    hv: list[Fraction], gv: list[Fraction], m: int, n: int, length: int
+) -> int | None:
+    """Smallest d below ``length`` such that some index pair with larger
+    index d is ordered oppositely by the windows ``hv[m:]`` and ``gv[n:]``;
+    None when the two length-``length`` windows are co-ordered.
+
+    When indices 0..d-1 agree, their values sort into the same index order
+    in both windows, and the indices below index d form a prefix of that
+    order in each. So index d adds a disagreement exactly when its insertion
+    ranks differ, and the first such d is the minimal max(i, j) over all
+    disagreeing pairs. Each window keeps its values seen so far sorted, so
+    reaching depth d costs O(d log d) exact comparisons, however long the
+    windows are.
+    """
+    seen_h: list[Fraction] = []
+    seen_g: list[Fraction] = []
+    for d in range(length):
+        h_value, g_value = hv[d + m], gv[d + n]
+        rank = bisect_left(seen_h, h_value)
+        if bisect_left(seen_g, g_value) != rank:
+            return d
+        seen_h.insert(rank, h_value)
+        seen_g.insert(rank, g_value)
+    return None
+
+
 def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
     """Check co-order on prefixes of the given length.
 
@@ -85,11 +112,11 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
     """
     hv = h.prefix(length)
     gv = g.prefix(length)
-    for j in range(length):
-        for i in range(j):
-            if (hv[i] < hv[j]) != (gv[i] < gv[j]):
-                return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
-    return Agree(length)
+    j = first_split(hv, gv, 0, 0, length)
+    if j is None:
+        return Agree(length)
+    i = next(i for i in range(j) if (hv[i] < hv[j]) != (gv[i] < gv[j]))
+    return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
 
 
 def witness_pairs(
@@ -119,6 +146,29 @@ def project_second(pairs: list[WitnessPair]) -> set[int]:
     return {p.j for p in pairs}
 
 
+def witness_projections(
+    h: Listing, g: Listing, m: int, n: int, length: int
+) -> tuple[set[int], set[int]]:
+    """``project_first`` and ``project_second`` of :func:`witness_pairs`,
+    without building the pairs.
+
+    Index i is a first index iff some point with a larger h-value has a
+    smaller g-value, and j is a second index iff some point with a smaller
+    h-value has a larger g-value. One sort by h and two running extremes of
+    g, the minimum from the top and the maximum from the bottom: O(length
+    log length) exact comparisons.
+    """
+    hv = h.prefix(length + m)
+    gv = g.prefix(length + n)
+    by_h = sorted(range(length), key=lambda k: hv[k + m])
+    g_by_h = [gv[k + n] for k in by_h]
+    max_below = list(accumulate(g_by_h, max))
+    min_above = list(accumulate(reversed(g_by_h), min))[::-1]
+    first = {k for t, k in enumerate(by_h[:-1]) if min_above[t + 1] < g_by_h[t]}
+    second = {k for t, k in enumerate(by_h[1:], 1) if max_below[t - 1] > g_by_h[t]}
+    return first, second
+
+
 @dataclass(frozen=True)
 class Cell:
     """One shift pair's search outcome; ``witness is None`` means no witness
@@ -146,16 +196,17 @@ class WitnessReport:
 def _minimal_witness(
     hv: list[Fraction], gv: list[Fraction], m: int, n: int, length: int
 ) -> WitnessPair | None:
-    # Smallest max(i, j) first, ties in lexicographic (i, j) order.
-    for d in range(1, length):
-        hd, gd = hv[d + m], gv[d + n]
-        for i in range(d):
-            if hv[i + m] < hd and gv[i + n] > gd:
-                return WitnessPair(i, d, hv[i + m], hd, gv[i + n], gd)
-        for j in range(d):
-            if hd < hv[j + m] and gd > gv[j + n]:
-                return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
-    return None
+    # Smallest max(i, j) first, ties in lexicographic (i, j) order: every
+    # (i, d) with i < d comes before every (d, j).
+    d = first_split(hv, gv, m, n, length)
+    if d is None:
+        return None
+    hd, gd = hv[d + m], gv[d + n]
+    for i in range(d):
+        if hv[i + m] < hd and gv[i + n] > gd:
+            return WitnessPair(i, d, hv[i + m], hd, gv[i + n], gd)
+    j = next(j for j in range(d) if hd < hv[j + m] and gd > gv[j + n])
+    return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
 
 
 def search_shift_witnesses(

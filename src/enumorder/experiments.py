@@ -22,10 +22,8 @@ from .coorder import (
     WitnessPair,
     finite_coorder,
     prefix_coorder,
-    project_first,
-    project_second,
     search_shift_witnesses,
-    witness_pairs,
+    witness_projections,
 )
 from .listings import (
     SetSpec,
@@ -37,6 +35,7 @@ from .listings import (
     rationals_in_interval,
 )
 from .ordertype import format_descriptor, refute_type2
+from .rational import format_rational
 
 DEFAULT_M_MAX = 10
 DEFAULT_N_MAX = 10
@@ -87,10 +86,10 @@ def _witness_json(w: WitnessPair | None) -> dict | None:
     return {
         "i": w.i,
         "j": w.j,
-        "h_i": str(w.h_i),
-        "h_j": str(w.h_j),
-        "g_i": str(w.g_i),
-        "g_j": str(w.g_j),
+        "h_i": format_rational(w.h_i),
+        "h_j": format_rational(w.h_j),
+        "g_i": format_rational(w.g_i),
+        "g_j": format_rational(w.g_j),
     }
 
 
@@ -256,13 +255,9 @@ def witness_growth(
     for m, n in shifts:
         counts = []
         for length in schedule:
-            pairs = witness_pairs(h, g, m, n, length)
+            first, second = witness_projections(h, g, m, n, length)
             counts.append(
-                {
-                    "prefix": length,
-                    "first_indices": len(project_first(pairs)),
-                    "second_indices": len(project_second(pairs)),
-                }
+                {"prefix": length, "first_indices": len(first), "second_indices": len(second)}
             )
         increasing = all(
             counts[t]["first_indices"] < counts[t + 1]["first_indices"]

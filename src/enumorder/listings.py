@@ -32,6 +32,7 @@ from .ordertype import (
     OmegaStar,
     normalize,
 )
+from .rational import format_rational
 
 # A gap oracle answers: does the set meet the open interval (lo, hi)?
 # None stands for an unbounded end.
@@ -270,7 +271,8 @@ def builtin_dyadic(index_listing: Listing) -> SetSpec:
         for k, v in enumerate(index_listing):
             if v.denominator != 1 or v < 0:
                 raise NonNaturalIndexError(
-                    f"index listing produced {v} at position {k}; expected a natural number"
+                    f"index listing produced {format_rational(v)} at position {k}; "
+                    "expected a natural number"
                 )
             yield Fraction(1, 2 ** int(v))
 
@@ -422,7 +424,7 @@ def finite_listing(values: Sequence[Fraction]) -> SetSpec:
     def stream() -> Iterator[Fraction]:
         yield from vals
 
-    name = "finite:" + ",".join(str(v) for v in vals)
+    name = "finite:" + ",".join(format_rational(v) for v in vals)
     return SetSpec(name, stream, Fin(len(vals)), _finite_oracle(vals))
 
 
@@ -462,7 +464,7 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         if spec.gap_oracle is not None
         else None
     )
-    name = f"{spec.name}+drop=" + ";".join(str(v) for v in sorted(removed))
+    name = f"{spec.name}+drop=" + ";".join(format_rational(v) for v in sorted(removed))
     return SetSpec(name, stream, descriptor, oracle)
 
 
@@ -497,7 +499,7 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         if spec.gap_oracle is not None
         else None
     )
-    name = f"{spec.name}+add=" + ";".join(str(v) for v in added)
+    name = f"{spec.name}+add=" + ";".join(format_rational(v) for v in added)
     return SetSpec(name, stream, descriptor, oracle)
 
 

@@ -16,6 +16,10 @@ sequence. Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 Power binds tighter than unary minus, which binds tighter than ``*``/``/``,
 then ``+``/``-``; equal-precedence binary operators associate left.
 Exponents are literal nonnegative integers; rationals arise by division.
+Every power ``b^k`` must have degree at most ``MAX_DEGREE``: its degree is k
+times the degree of ``b``, where an atom has degree 1, ``*`` and ``/`` add
+degrees, ``+`` and ``-`` take the larger, and negation keeps it. A larger
+power is a syntax error at the exponent, found before anything is evaluated.
 
 A file with several clauses (or any guard) is piecewise: the first clause
 whose guard accepts ``(i, n)`` is evaluated. The clause list must be total:
@@ -31,6 +35,9 @@ from itertools import count
 from typing import Iterator
 
 from .listings import SetSpec
+
+# Largest degree a power may have; bounds the size of every evaluated power.
+MAX_DEGREE = 100_000
 
 
 class SeqSyntaxError(ValueError):
@@ -197,6 +204,11 @@ class _Parser:
         found = "end of input" if token.kind == "end" else repr(token.text)
         return SeqSyntaxError(token.offset, expected, found)
 
+    def degree_error(self, exponent: _Token) -> SeqSyntaxError:
+        expected = f"an exponent keeping the power's degree <= {MAX_DEGREE}"
+        text = exponent.text if len(exponent.text) <= 20 else exponent.text[:20] + "..."
+        return SeqSyntaxError(exponent.offset, (expected,), repr(text))
+
     def expect(self, kind: str) -> _Token:
         if self.peek().kind != kind:
             raise self.fail((kind,))
@@ -270,7 +282,12 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             exponent = self.expect("int")
-            node = Pow(node, int(exponent.text))
+            digits = exponent.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)):
+                raise self.degree_error(exponent)
+            node = Pow(node, int(digits))
+            if _degree(node) > MAX_DEGREE:
+                raise self.degree_error(exponent)
         if negate:
             node = Neg(node)
         return node
@@ -289,6 +306,17 @@ class _Parser:
             self.expect(")")
             return node
         raise self.fail(("int", "n", "i", "("))
+
+
+def _degree(e: Expr) -> int:
+    if isinstance(e, Pow):
+        return e.exponent * _degree(e.base)
+    if isinstance(e, Neg):
+        return _degree(e.operand)
+    if isinstance(e, BinOp):
+        left, right = _degree(e.left), _degree(e.right)
+        return left + right if e.op in ("*", "/") else max(left, right)
+    return 1
 
 
 def _check_total(clauses: list[Clause]) -> None:

@@ -1,10 +1,12 @@
-"""Shared deterministic pools of set specs for randomized tests."""
+"""Shared deterministic pools of set specs for randomized tests, and the
+brute-force oracles the fast paths are checked against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from enumorder.coorder import Agree, Disagree, WitnessPair
 from enumorder.listings import (
     SetSpec,
     add_finite,
@@ -62,3 +64,29 @@ def random_spec(rng: random.Random) -> SetSpec:
 def pattern_by_counting(values):
     """Independent order-pattern oracle: entry k counts smaller values."""
     return [sum(other < v for other in values) for v in values]
+
+
+def prefix_coorder_scan(h, g, length):
+    """Pairwise co-order oracle: the first pair (i, j), scanning j upward
+    and i upward below j, that the two prefixes order oppositely."""
+    hv = h.prefix(length)
+    gv = g.prefix(length)
+    for j in range(length):
+        for i in range(j):
+            if (hv[i] < hv[j]) != (gv[i] < gv[j]):
+                return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
+    return Agree(length)
+
+
+def minimal_witness_scan(hv, gv, m, n, length):
+    """Shift-search oracle: the witness with the smallest max(i, j), ties in
+    lexicographic (i, j) order, found by scanning every pair at each depth."""
+    for d in range(1, length):
+        hd, gd = hv[d + m], gv[d + n]
+        for i in range(d):
+            if hv[i + m] < hd and gv[i + n] > gd:
+                return WitnessPair(i, d, hv[i + m], hd, gv[i + n], gd)
+        for j in range(d):
+            if hd < hv[j + m] and gd > gv[j + n]:
+                return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
+    return None

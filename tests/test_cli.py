@@ -94,6 +94,25 @@ def test_list_cut_off_notice(tmp_path, capsys):
     assert "ended" not in err
 
 
+def test_list_prints_values_beyond_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "big.seq"
+    path.write_text("(n+1)^20000\n", encoding="utf-8")
+    code, out, err = run(capsys, "list", f"seq:{path}", "--count", "2")
+    assert (code, err) == (0, "")
+    first, second = out.strip().split(", ")
+    assert parse_rational(first) == 2**20000
+    assert parse_rational(second) == 3**20000
+
+
+def test_over_cap_exponent_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "huge.seq"
+    path.write_text("(n+1)^99999999\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", f"seq:{path}", "thirds", "--prefix", "5")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: segment") and "offset 6" in err
+
+
 def test_list_json(capsys):
     code, out, err = run(capsys, "list", "A:2", "--count", "4", "--format", "json")
     assert code == 0

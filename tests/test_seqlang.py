@@ -7,6 +7,7 @@ import pytest
 
 from enumorder.listings import ListingExhausted, build_T
 from enumorder.seqlang import (
+    MAX_DEGREE,
     BinOp,
     Clause,
     EvalDivisionByZero,
@@ -64,6 +65,37 @@ def test_parse_error_on_unknown_character():
     with pytest.raises(SeqSyntaxError) as failure:
         parse("1 @ 2")
     assert failure.value.offset == 2
+
+
+def test_power_at_the_degree_cap_parses():
+    assert parse(f"(n+1)^{MAX_DEGREE}") == Pow(BinOp("+", Var("n"), Lit(1)), MAX_DEGREE)
+    assert parse(f"(n*i)^{MAX_DEGREE // 2}").exponent == MAX_DEGREE // 2
+    assert parse("n^000003") == Pow(Var("n"), 3)
+
+
+def test_huge_exponent_is_rejected_before_evaluation():
+    # 3^99999999 alone would take minutes and tens of megabytes; the parser
+    # must refuse from the literal's digits without computing anything.
+    with pytest.raises(SeqSyntaxError) as failure:
+        parse("(n+1)^99999999")
+    assert failure.value.offset == 6
+    assert str(MAX_DEGREE) in str(failure.value)
+    with pytest.raises(SeqSyntaxError) as failure:
+        parse("n^" + "9" * 5000)
+    assert failure.value.offset == 2
+    assert len(str(failure.value)) < 200
+
+
+def test_nested_and_product_powers_count_toward_the_cap():
+    for text, offset in (
+        (f"(n+1)^{MAX_DEGREE + 1}", 6),
+        ("((n+1)^1000)^1000", 13),
+        (f"(n*n)^{MAX_DEGREE // 2 + 1}", 6),
+        (f"-(2^2 + n)^{MAX_DEGREE // 2 + 1}", 11),
+    ):
+        with pytest.raises(SeqSyntaxError) as failure:
+            parse(text)
+        assert failure.value.offset == offset, text
 
 
 def test_parse_precedence_table():
