@@ -387,8 +387,10 @@ def rationals() -> Iterator[Fraction]:
 def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
     """All rationals in the closed interval [a, b], in canonical order."""
     if a > b:
-        raise ValueError(f"interval bounds out of order: {a} > {b}")
-    name = f"interval:{a},{b}"
+        raise ValueError(
+            f"interval bounds out of order: {format_rational(a)} > {format_rational(b)}"
+        )
+    name = f"interval:{format_rational(a)},{format_rational(b)}"
     if a == b:
         single = finite_listing([a])
         return SetSpec(name, single.make_stream, Fin(1), single.gap_oracle)
@@ -484,7 +486,8 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     scanned = spec.listing().try_prefix(EDIT_SCAN_PREFIX)
     clash = [v for v in added if v in set(scanned)]
     if clash:
-        raise ValueError(f"values already present in the set: {clash}")
+        shown = ", ".join(format_rational(v) for v in clash)
+        raise ValueError(f"values already present in the set: {shown}")
 
     def stream() -> Iterator[Fraction]:
         yield from added

@@ -66,10 +66,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Inverse of :func:`parse_rational`; round-trips exactly. Same text as
     ``str(x)`` wherever ``str`` works."""
-    try:
-        return str(x)
-    except ValueError:  # beyond the interpreter's digit limit
-        pass
     if x.denominator == 1:
         return _int_text(x.numerator)
     return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"

@@ -16,10 +16,14 @@ sequence. Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 Power binds tighter than unary minus, which binds tighter than ``*``/``/``,
 then ``+``/``-``; equal-precedence binary operators associate left.
 Exponents are literal nonnegative integers; rationals arise by division.
-Every power ``b^k`` must have degree at most ``MAX_DEGREE``: its degree is k
-times the degree of ``b``, where an atom has degree 1, ``*`` and ``/`` add
-degrees, ``+`` and ``-`` take the larger, and negation keeps it. A larger
-power is a syntax error at the exponent, found before anything is evaluated.
+Every exponent, and every power's degree in ``n``, is at most ``MAX_DEGREE``;
+more is a syntax error at the exponent, found before anything is evaluated.
+The degree of ``b^k`` is k times the degree of ``b``, where ``n`` has degree
+1, literals and ``i`` have degree 0, ``*`` and ``/`` add degrees, ``+`` and
+``-`` take the larger, and negation keeps it. Literals and ``i`` can still
+make a base large, so evaluation also refuses any power whose numerator or
+denominator could exceed ``MAX_POWER_BITS`` bits, checked on the base's
+value before the power is taken.
 
 A file with several clauses (or any guard) is piecewise: the first clause
 whose guard accepts ``(i, n)`` is evaluated. The clause list must be total:
@@ -35,9 +39,13 @@ from itertools import count
 from typing import Iterator
 
 from .listings import SetSpec
+from .rational import format_rational, parse_rational
 
-# Largest degree a power may have; bounds the size of every evaluated power.
+# Largest exponent, and largest degree in n, that a power may have.
 MAX_DEGREE = 100_000
+
+# Largest bit length an evaluated power may reach (about 1.2 million digits).
+MAX_POWER_BITS = 4_000_000
 
 
 class SeqSyntaxError(ValueError):
@@ -60,6 +68,18 @@ class EvalDivisionByZero(ZeroDivisionError):
 
     def __init__(self, i: int, n: int):
         super().__init__(f"division by zero at (i={i}, n={n})")
+        self.i = i
+        self.n = n
+
+
+class EvalPowerTooLarge(ValueError):
+    """A power whose value could exceed ``MAX_POWER_BITS`` bits, recorded
+    with its (i, n)."""
+
+    def __init__(self, i: int, n: int, bits: int):
+        super().__init__(
+            f"power of up to {bits} bits at (i={i}, n={n}) exceeds the {MAX_POWER_BITS}-bit cap"
+        )
         self.i = i
         self.n = n
 
@@ -205,7 +225,7 @@ class _Parser:
         return SeqSyntaxError(token.offset, expected, found)
 
     def degree_error(self, exponent: _Token) -> SeqSyntaxError:
-        expected = f"an exponent keeping the power's degree <= {MAX_DEGREE}"
+        expected = f"an exponent and a degree in n <= {MAX_DEGREE}"
         text = exponent.text if len(exponent.text) <= 20 else exponent.text[:20] + "..."
         return SeqSyntaxError(exponent.offset, (expected,), repr(text))
 
@@ -255,7 +275,7 @@ class _Parser:
             if op.kind in ("<", ">="):
                 self.advance()
                 bound = self.expect("int")
-                return ThresholdGuard(op.kind, int(bound.text))
+                return ThresholdGuard(op.kind, parse_rational(bound.text).numerator)
             raise self.fail(("<", ">="))
         raise self.fail(("i", "n", "otherwise"))
 
@@ -283,7 +303,7 @@ class _Parser:
             self.advance()
             exponent = self.expect("int")
             digits = exponent.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_DEGREE)):
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise self.degree_error(exponent)
             node = Pow(node, int(digits))
             if _degree(node) > MAX_DEGREE:
@@ -296,7 +316,8 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Lit(int(token.text))
+            # parse_rational reads integers of any length.
+            return Lit(parse_rational(token.text).numerator)
         if token.kind == "name" and token.text in ("n", "i"):
             self.advance()
             return Var(token.text)
@@ -316,7 +337,7 @@ def _degree(e: Expr) -> int:
     if isinstance(e, BinOp):
         left, right = _degree(e.left), _degree(e.right)
         return left + right if e.op in ("*", "/") else max(left, right)
-    return 1
+    return 1 if isinstance(e, Var) and e.name == "n" else 0
 
 
 def _check_total(clauses: list[Clause]) -> None:
@@ -357,13 +378,13 @@ def _clause_text(clause: Clause) -> str:
     elif isinstance(guard, ParityGuard):
         head = f"case i {guard.parity}"
     else:
-        head = f"case n {guard.op} {guard.bound}"
+        head = f"case n {guard.op} {format_rational(Fraction(guard.bound))}"
     return f"{head}: {_expr_text(clause.body)}"
 
 
 def _expr_text(e: Expr) -> str:
     if isinstance(e, Lit):
-        return str(e.value)
+        return format_rational(Fraction(e.value))
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Pow):
@@ -428,7 +449,11 @@ def _eval(e: Expr, i: int, n: int) -> Fraction:
     if isinstance(e, Neg):
         return -_eval(e.operand, i, n)
     if isinstance(e, Pow):
-        return _eval(e.base, i, n) ** e.exponent
+        base = _eval(e.base, i, n)
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length()) * e.exponent
+        if bits > MAX_POWER_BITS:
+            raise EvalPowerTooLarge(i, n, bits)
+        return base**e.exponent
     left = _eval(e.left, i, n)
     right = _eval(e.right, i, n)
     if e.op == "+":

@@ -113,6 +113,29 @@ def test_over_cap_exponent_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: segment") and "offset 6" in err
 
 
+def test_interval_bounds_beyond_the_digit_limit(capsys):
+    bound = "1" + "0" * 4399 + "1"
+    code, out, err = run(capsys, "check", f"interval:{bound},{bound}", f"finite:{bound}",
+                         "--prefix", "1")
+    assert (code, err) == (0, "")
+    assert out == f"agree on prefix 1: interval:{bound},{bound} ~ finite:{bound}\n"
+
+
+def test_oversized_power_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "wide.seq"
+    path.write_text("1" + "0" * 3999 + "^100000\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", f"seq:{path}", "thirds", "--prefix", "5")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: power of up to") and "(i=1, n=1)" in err
+
+
+def test_added_value_clash_names_the_values(capsys):
+    code, out, err = run(capsys, "list", "harmonic+add=1/2;1/3", "--count", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: segment 'add=1/2;1/3': values already present in the set: 1/3, 1/2\n"
+
+
 def test_list_json(capsys):
     code, out, err = run(capsys, "list", "A:2", "--count", "4", "--format", "json")
     assert code == 0

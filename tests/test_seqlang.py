@@ -11,6 +11,8 @@ from enumorder.seqlang import (
     BinOp,
     Clause,
     EvalDivisionByZero,
+    EvalPowerTooLarge,
+    MAX_POWER_BITS,
     Lit,
     Neg,
     NonTotalPiecewiseError,
@@ -69,8 +71,16 @@ def test_parse_error_on_unknown_character():
 
 def test_power_at_the_degree_cap_parses():
     assert parse(f"(n+1)^{MAX_DEGREE}") == Pow(BinOp("+", Var("n"), Lit(1)), MAX_DEGREE)
-    assert parse(f"(n*i)^{MAX_DEGREE // 2}").exponent == MAX_DEGREE // 2
     assert parse("n^000003") == Pow(Var("n"), 3)
+    # Literals and i do not grow with n: these are no larger than
+    # (n+c)^MAX_DEGREE, so they parse.
+    for text in (
+        f"(n*i)^{MAX_DEGREE}",
+        f"(2*n)^{MAX_DEGREE // 2 + 1}",
+        f"(1/(n+1))^{MAX_DEGREE // 2 + 1}",
+        f"-(2^2 + n)^{MAX_DEGREE // 2 + 1}",
+    ):
+        assert isinstance(parse(text), (Pow, Neg)), text
 
 
 def test_huge_exponent_is_rejected_before_evaluation():
@@ -91,11 +101,42 @@ def test_nested_and_product_powers_count_toward_the_cap():
         (f"(n+1)^{MAX_DEGREE + 1}", 6),
         ("((n+1)^1000)^1000", 13),
         (f"(n*n)^{MAX_DEGREE // 2 + 1}", 6),
-        (f"-(2^2 + n)^{MAX_DEGREE // 2 + 1}", 11),
+        (f"-(n^2 + n)^{MAX_DEGREE // 2 + 1}", 11),
+        (f"2^{MAX_DEGREE + 1}", 2),
     ):
         with pytest.raises(SeqSyntaxError) as failure:
             parse(text)
         assert failure.value.offset == offset, text
+
+
+def test_oversized_power_is_refused_before_it_is_computed():
+    # 4,000 digits is about 13,300 bits; the power would have 1.3e9 bits.
+    literal = "1" + "0" * 3999
+    expr = parse(f"{literal}^{MAX_DEGREE}")
+    with pytest.raises(EvalPowerTooLarge) as failure:
+        evaluate(expr, 1, 1)
+    assert (failure.value.i, failure.value.n) == (1, 1)
+    expr = parse(f"i^{MAX_DEGREE}")
+    with pytest.raises(EvalPowerTooLarge) as failure:
+        evaluate(expr, 10**4000, 3)
+    assert (failure.value.i, failure.value.n) == (10**4000, 3)
+    # The cap is on k * bits(base): a 4,000-bit base to the 1,000th is at
+    # MAX_POWER_BITS and is computed, one more bit is refused.
+    expr = parse("(1/(n+1))^1000")
+    assert MAX_POWER_BITS == 4000 * 1000
+    assert evaluate(expr, 0, 2**3999 - 1) == Fraction(1, 2**3_999_000)
+    with pytest.raises(EvalPowerTooLarge):
+        evaluate(expr, 0, 2**4000 - 1)
+
+
+def test_literals_beyond_the_interpreter_digit_limit():
+    literal = "7" * 5000
+    expr = parse(f"{literal} / n")
+    assert expr == BinOp("/", Lit(int("7" * 2000) * 10**3000 + int("7" * 3000)), Var("n"))
+    assert parse(to_text(expr)) == expr
+    guarded = parse(f"case n < {literal}: n ; case otherwise: 0")
+    assert parse(to_text(guarded)) == guarded
+    assert evaluate(guarded, 1, 5) == 5
 
 
 def test_parse_precedence_table():
