@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
-from .listings import DuplicateValuesError, Listing, SetSpec, in_gap
+from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec, in_gap
 
 
 class OracleSizeError(ValueError):
@@ -63,17 +63,20 @@ class Disagree:
 CoorderVerdict = Agree | Disagree
 
 
+def _ranks(values: list[Fraction]) -> list[int]:
+    """Entry k is the rank of values[k] among the (distinct) values."""
+    ranks = [0] * len(values)
+    for rank, index in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        ranks[index] = rank
+    return ranks
+
+
 def order_pattern(h: Listing, length: int) -> list[int]:
     """Rank sequence of the prefix: entry k counts indices t with h(t) < h(k).
 
     A permutation of 0..length-1, since listings are injective.
     """
-    values = h.prefix(length)
-    by_value = sorted(range(length), key=values.__getitem__)
-    ranks = [0] * length
-    for rank, index in enumerate(by_value):
-        ranks[index] = rank
-    return ranks
+    return _ranks(h.prefix(length))
 
 
 def first_split(
@@ -233,7 +236,9 @@ class MatchSuccess:
     """A target prefix co-ordered with the requested prefix of the input.
 
     ``picks`` records, per step, the position in the target's listing of the
-    chosen element; ``drawn`` is the number of fresh elements consumed.
+    chosen element. ``drawn`` counts the target values actually drawn: up
+    to the last value a first-fit pick needed, or the whole target when its
+    listing ended within the fuel. It never exceeds the fuel.
     """
 
     values: tuple[Fraction, ...]
@@ -268,32 +273,41 @@ class FuelExhausted:
 MatchOutcome = MatchSuccess | GapEmpty | FuelExhausted
 
 
-def _exact_feasible(
-    hv: list[Fraction],
-    k: int,
-    chosen: list[Fraction],
-    candidate: Fraction,
-    pool: list[Fraction],
-    used: list[bool],
-    pick_index: int,
-) -> bool:
-    """With the target fully known, can the remaining pattern still embed if
-    the candidate is placed at step k?
+def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
+    """Greedy matching into a target known to be exactly ``pool``.
 
-    Bucket the future input values by the placed input values and the unused
-    pool by the placed target values: ranks align, and any r distinct values
-    inside a gap realize any r-element pattern, so per-gap counting is exact.
+    Each pick is the first pool value, in listing order, that leaves the
+    rest of the input pattern embeddable. Any r distinct values inside a
+    gap realize any r-element pattern, so embeddability is a count per gap:
+    the values on each side of the pick inside its target gap must cover
+    the input values still to come on that side of h(k) inside its input
+    gap. On integer ranks both counts are rank differences (no placed value
+    lies inside a gap), so the feasible picks are one rank window. Every
+    other gap passed at the previous step and is unchanged.
     """
-    h_bounds = sorted(hv[: k + 1])
-    g_bounds = sorted(chosen + [candidate])
-    need = [0] * (k + 2)
-    for f in range(k + 1, len(hv)):
-        need[bisect_left(h_bounds, hv[f])] += 1
-    have = [0] * (k + 2)
-    for p, value in enumerate(pool):
-        if not used[p] and p != pick_index:
-            have[bisect_left(g_bounds, value)] += 1
-    return all(have[t] >= need[t] for t in range(k + 2))
+    pool_ranks = _ranks(pool)
+    by_rank = sorted(pool)
+    placed: list[int] = []  # input ranks placed so far, ascending
+    matched: list[int] = []  # pool ranks of the picks, ascending alongside
+    chosen: list[Fraction] = []
+    picks: list[int] = []
+    for k, r in enumerate(h_ranks):
+        t = bisect_left(placed, r)
+        h_lo, g_lo = (placed[t - 1], matched[t - 1]) if t else (-1, -1)
+        h_hi, g_hi = (placed[t], matched[t]) if t < k else (len(h_ranks), len(pool))
+        first, last = g_lo + (r - h_lo), g_hi - (h_hi - r)
+        pick = next((p for p, q in enumerate(pool_ranks) if first <= q <= last), None)
+        if pick is None:
+            lo = by_rank[g_lo] if t else None
+            hi = by_rank[g_hi] if t < k else None
+            return GapEmpty(
+                k, lo, hi, tuple(chosen), "target exhausted; no usable element in gap"
+            )
+        placed.insert(t, r)
+        matched.insert(t, pool_ranks[pick])
+        chosen.append(pool[pick])
+        picks.append(pick)
+    return MatchSuccess(tuple(chosen), tuple(picks), len(pool))
 
 
 def match_listing(
@@ -303,53 +317,55 @@ def match_listing(
 
     At step k the value h(k) ranks somewhere among h(0..k-1); the pick must
     land strictly inside the open gap between the corresponding already
-    chosen target values (unbounded at the ends). The target's listing is
-    probed up front — at most ``fuel`` fresh values, stopping early if the
-    stream ends — and picks scan the drawn pool in listing order.
+    chosen target values (unbounded at the ends). Both bounds come from one
+    bisection: the ranks of the placed input values and the chosen target
+    values are kept sorted side by side, and co-order makes them align.
 
-    When the probe exhausts the target (its stream ends, rather than being
-    cut off by the duplicate limit), its full content is known and every
-    pick is feasibility-checked against the remaining pattern, so a match is
-    found whenever one exists. Otherwise picks are plain first-fit; if no
-    drawn value fits, a gap oracle may still certify the gap empty (a sound
-    refutation for this ``h``), and failing that the outcome is an
-    inconclusive :class:`FuelExhausted`.
+    Picks are first-fit in listing order. The target is drawn lazily, at
+    most ``fuel`` values in all: a step scans the values already drawn and
+    draws more only when none fits, stopping at the first new value that
+    does. If no value within fuel fits, a gap oracle may still certify the
+    gap empty (a sound refutation for this ``h``); failing that the outcome
+    is an inconclusive :class:`FuelExhausted` after the full fuel, or after
+    a cut-off by the duplicate limit.
+
+    When the target's stream ends within fuel, its full content is known,
+    and the match restarts from step 0 with every pick checked against the
+    remaining pattern (:func:`_exact_match`), so a match is found whenever
+    one exists. That restart picks the same values a completed first-fit
+    run would have: each first-fit pick is feasible, as its own completion
+    shows.
     """
-    hv = h.try_prefix(prefix_len)
-    target_listing = target.listing()
-    pool = target_listing.try_prefix(fuel)
-    exhausted = target_listing.is_exhausted()
-    used = [False] * len(pool)
+    h_ranks = _ranks(h.try_prefix(prefix_len))
+    walk = iter(target.listing())
+    pool: list[Fraction] = []
+    placed: list[int] = []  # input ranks placed so far, ascending
+    matched: list[Fraction] = []  # chosen values, ascending alongside
     chosen: list[Fraction] = []
     picks: list[int] = []
-
-    for k in range(len(hv)):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for t in range(k):
-            if hv[t] < hv[k]:
-                if lo is None or chosen[t] > lo:
-                    lo = chosen[t]
-            else:
-                if hi is None or chosen[t] < hi:
-                    hi = chosen[t]
-        pick = None
-        for p, value in enumerate(pool):
-            if used[p] or not in_gap(value, lo, hi):
-                continue
-            if exhausted and not _exact_feasible(hv, k, chosen, value, pool, used, p):
-                continue
-            pick = p
-            break
+    for k, r in enumerate(h_ranks):
+        t = bisect_left(placed, r)
+        lo = matched[t - 1] if t else None
+        hi = matched[t] if t < k else None
+        pick = next((p for p, v in enumerate(pool) if in_gap(v, lo, hi)), None)
+        cut_off = False
+        while pick is None and len(pool) < fuel:
+            try:
+                value = next(walk)
+            except StopIteration:
+                return _exact_match(h_ranks, pool)
+            except ListingCutOff:
+                cut_off = True
+                break
+            pool.append(value)
+            if in_gap(value, lo, hi):
+                pick = len(pool) - 1
         if pick is None:
-            if exhausted:
-                return GapEmpty(
-                    k, lo, hi, tuple(chosen), "target exhausted; no usable element in gap"
-                )
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
                 return GapEmpty(k, lo, hi, tuple(chosen), "gap oracle certifies the gap empty")
-            return FuelExhausted(k, tuple(chosen), len(pool), target_listing.is_cut_off())
-        used[pick] = True
+            return FuelExhausted(k, tuple(chosen), len(pool), cut_off)
+        placed.insert(t, r)
+        matched.insert(t, pool[pick])
         chosen.append(pool[pick])
         picks.append(pick)
     return MatchSuccess(tuple(chosen), tuple(picks), len(pool))

@@ -45,10 +45,12 @@ DEDUP_RUN_LIMIT = 10_000
 
 
 class ListingExhausted(Exception):
-    """An index beyond the end of a finite listing was requested."""
+    """An index beyond the last value of a listing was requested: beyond
+    its end, or beyond where the duplicate limit cut it off."""
 
-    def __init__(self, length: int):
-        super().__init__(f"listing ended after {length} values")
+    def __init__(self, length: int, cut_off: bool = False):
+        how = "cut off" if cut_off else "ended"
+        super().__init__(f"listing {how} after {length} values")
         self.length = length
 
 
@@ -97,14 +99,14 @@ class Listing:
             raise IndexError(f"listing index must be nonnegative, got {k}")
         self._fill(k + 1)
         if k >= len(self._memo):
-            raise ListingExhausted(len(self._memo))
+            raise ListingExhausted(len(self._memo), self._cut_off)
         return self._memo[k]
 
     def prefix(self, n: int) -> list[Fraction]:
         """First ``n`` values; raises :class:`ListingExhausted` on shortfall."""
         self._fill(n)
         if len(self._memo) < n:
-            raise ListingExhausted(len(self._memo))
+            raise ListingExhausted(len(self._memo), self._cut_off)
         return list(self._memo[:n])
 
     def try_prefix(self, n: int) -> list[Fraction]:
@@ -369,6 +371,28 @@ def _height_block(h: int) -> list[Fraction]:
     return out
 
 
+def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
+    """The values of ``_height_block(h)`` inside [lo, hi], in block order.
+
+    Each part of the block is monotone in its running index, so the
+    in-range part is an index range: h/q for q from ceil(h/hi) to
+    floor(h/lo), and p/h for p from ceil(lo*h) to floor(hi*h). Cost is
+    proportional to that range, not to h.
+    """
+    if hi <= 0:
+        return
+    q_first = max(1, -(-h * hi.denominator // hi.numerator))
+    q_last = h - 1 if lo <= 0 else min(h - 1, h * lo.denominator // lo.numerator)
+    for q in range(q_first, q_last + 1):
+        if math.gcd(h, q) == 1:
+            yield Fraction(h, q)
+    p_first = max(1, -(-lo.numerator * h // lo.denominator))
+    p_last = min(h, hi.numerator * h // hi.denominator)
+    for p in range(p_first, p_last + 1):
+        if math.gcd(p, h) == 1:
+            yield Fraction(p, h)
+
+
 def rationals() -> Iterator[Fraction]:
     """Every rational exactly once, by increasing height.
 
@@ -385,7 +409,13 @@ def rationals() -> Iterator[Fraction]:
 
 
 def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
-    """All rationals in the closed interval [a, b], in canonical order."""
+    """All rationals in the closed interval [a, b], in canonical order.
+
+    Each height block contributes its in-range positives, then the
+    negations of its positives inside [-b, -a], with zero at
+    ``ZERO_HEIGHT`` when a <= 0 <= b: the subsequence of :func:`rationals`
+    inside [a, b], generated without visiting the values outside it.
+    """
     if a > b:
         raise ValueError(
             f"interval bounds out of order: {format_rational(a)} > {format_rational(b)}"
@@ -396,7 +426,11 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
         return SetSpec(name, single.make_stream, Fin(1), single.gap_oracle)
 
     def stream() -> Iterator[Fraction]:
-        return (v for v in rationals() if a <= v <= b)
+        for h in count(1):
+            if h == ZERO_HEIGHT and a <= 0 <= b:
+                yield Fraction(0)
+            yield from _block_between(h, a, b)
+            yield from (-v for v in _block_between(h, -b, -a))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         if lo is not None and hi is not None and lo >= hi:

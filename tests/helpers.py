@@ -4,9 +4,17 @@ brute-force oracles the fast paths are checked against."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
-from enumorder.coorder import Agree, Disagree, WitnessPair
+from enumorder.coorder import (
+    Agree,
+    Disagree,
+    FuelExhausted,
+    GapEmpty,
+    MatchSuccess,
+    WitnessPair,
+)
 from enumorder.listings import (
     SetSpec,
     add_finite,
@@ -16,7 +24,9 @@ from enumorder.listings import (
     builtin_harmonic,
     builtin_thirds,
     finite_listing,
+    in_gap,
     interleave,
+    rationals,
     rationals_in_interval,
     remove_finite,
     shift_spec,
@@ -90,3 +100,71 @@ def minimal_witness_scan(hv, gv, m, n, length):
             if hd < hv[j + m] and gd > gv[j + n]:
                 return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
     return None
+
+
+def exact_feasible(hv, k, chosen, candidate, pool, used, pick_index):
+    """Feasibility oracle: with the target fully known, can the rest of the
+    input pattern still embed if the candidate is placed at step k?
+
+    Buckets the future input values by the placed input values and the
+    unused pool by the placed target values, and compares every bucket.
+    """
+    h_bounds = sorted(hv[: k + 1])
+    g_bounds = sorted(chosen + [candidate])
+    need = [0] * (k + 2)
+    for f in range(k + 1, len(hv)):
+        need[bisect_left(h_bounds, hv[f])] += 1
+    have = [0] * (k + 2)
+    for p, value in enumerate(pool):
+        if not used[p] and p != pick_index:
+            have[bisect_left(g_bounds, value)] += 1
+    return all(have[t] >= need[t] for t in range(k + 2))
+
+
+def match_listing_eager(h, target, prefix_len, fuel):
+    """Matcher oracle: draws ``fuel`` target values before the first pick,
+    scans every chosen value for the gap bounds, and checks every gap of
+    every in-gap candidate when the draw showed the target's end."""
+    hv = h.try_prefix(prefix_len)
+    target_listing = target.listing()
+    pool = target_listing.try_prefix(fuel)
+    exhausted = target_listing.is_exhausted()
+    used = [False] * len(pool)
+    chosen = []
+    picks = []
+    for k in range(len(hv)):
+        lo = None
+        hi = None
+        for t in range(k):
+            if hv[t] < hv[k]:
+                if lo is None or chosen[t] > lo:
+                    lo = chosen[t]
+            else:
+                if hi is None or chosen[t] < hi:
+                    hi = chosen[t]
+        pick = None
+        for p, value in enumerate(pool):
+            if used[p] or not in_gap(value, lo, hi):
+                continue
+            if exhausted and not exact_feasible(hv, k, chosen, value, pool, used, p):
+                continue
+            pick = p
+            break
+        if pick is None:
+            if exhausted:
+                return GapEmpty(
+                    k, lo, hi, tuple(chosen), "target exhausted; no usable element in gap"
+                )
+            if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
+                return GapEmpty(k, lo, hi, tuple(chosen), "gap oracle certifies the gap empty")
+            return FuelExhausted(k, tuple(chosen), len(pool), target_listing.is_cut_off())
+        used[pick] = True
+        chosen.append(pool[pick])
+        picks.append(pick)
+    return MatchSuccess(tuple(chosen), tuple(picks), len(pool))
+
+
+def rationals_in_interval_filtered(a, b):
+    """Interval-stream oracle: the canonical enumeration of all rationals,
+    filtered to [a, b]."""
+    return (v for v in rationals() if a <= v <= b)

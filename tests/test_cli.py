@@ -94,6 +94,16 @@ def test_list_cut_off_notice(tmp_path, capsys):
     assert "ended" not in err
 
 
+def test_check_names_a_cut_off_shortfall(tmp_path, capsys):
+    path = tmp_path / "plateau.seq"
+    path.write_text(PLATEAU_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "check", f"seq:{path}", "thirds", "--prefix", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: listing cut off after 1 values\n"
+    code, out, err = run(capsys, "check", "finite:3,1/2", "thirds", "--prefix", "5")
+    assert (code, err) == (1, "error: listing ended after 2 values\n")
+
+
 def test_list_prints_values_beyond_the_digit_limit(tmp_path, capsys):
     path = tmp_path / "big.seq"
     path.write_text("(n+1)^20000\n", encoding="utf-8")

@@ -322,6 +322,26 @@ def test_match_ascending_into_closed_interval_hits_right_endpoint():
     assert outcome.hi is None
 
 
+def test_match_draws_only_up_to_its_last_pick():
+    # First-fit stops drawing at the first value that fits, so the last
+    # value drawn is a pick; the eager matcher drew all 100,000.
+    outcome = match_listing(
+        builtin_harmonic().listing(), rationals_in_interval(F(0), F(1)), 50, 100_000
+    )
+    assert isinstance(outcome, MatchSuccess)
+    assert outcome.drawn == max(outcome.picks) + 1 == 755
+
+
+def test_match_restarts_exactly_when_the_target_ends_within_fuel():
+    # First-fit takes 2 for h(0) = 2 and then finds no value above it for
+    # h(1) = 3. The stream's end shows the target is {1, 2}, so the rerun
+    # checks feasibility and places h(0) at 1, leaving 2 above it.
+    outcome = match_listing(
+        finite_listing([F(2), F(3)]).listing(), finite_listing([F(2), F(1)]), 2, 10
+    )
+    assert outcome == MatchSuccess((F(1), F(2)), (1, 0), 2)
+
+
 def test_match_without_oracle_is_inconclusive():
     bare = SetSpec("thirds-bare", builtin_thirds().make_stream)
     outcome = match_listing(builtin_harmonic().listing(), bare, 10, 300)
