@@ -11,16 +11,11 @@ from .coorder import (
     ShiftPair,
     WitnessPair,
     WitnessReport,
-    brute_force_coorder_oracle,
     finite_coorder,
     first_split,
     match_listing,
-    order_pattern,
     prefix_coorder,
-    project_first,
-    project_second,
     search_shift_witnesses,
-    witness_pairs,
     witness_projections,
 )
 from .listings import (

@@ -15,6 +15,7 @@ Exit codes are stable: 0 = positive finding, 2 = negative finding,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -341,7 +342,10 @@ def _natural(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="enumorder",
         description="Enumeration-order analysis of computably enumerable sets of rationals.",

@@ -18,14 +18,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate
 from typing import NamedTuple
 
 from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec, in_gap
-
-
-class OracleSizeError(ValueError):
-    """Input exceeds the brute-force oracle's factorial-search cap."""
 
 
 @dataclass(frozen=True)
@@ -71,20 +67,13 @@ def _ranks(values: list[Fraction]) -> list[int]:
     return ranks
 
 
-def order_pattern(h: Listing, length: int) -> list[int]:
-    """Rank sequence of the prefix: entry k counts indices t with h(t) < h(k).
-
-    A permutation of 0..length-1, since listings are injective.
-    """
-    return _ranks(h.prefix(length))
-
-
 def first_split(
-    hv: list[Fraction], gv: list[Fraction], m: int, n: int, length: int
+    h: Listing, g: Listing, m: int, n: int, length: int, *, h_need: int | None = None
 ) -> int | None:
     """Smallest d below ``length`` such that some index pair with larger
-    index d is ordered oppositely by the windows ``hv[m:]`` and ``gv[n:]``;
-    None when the two length-``length`` windows are co-ordered.
+    index d is ordered oppositely by the windows of ``h`` from index m and
+    of ``g`` from index n; None when the two length-``length`` windows are
+    co-ordered.
 
     When indices 0..d-1 agree, their values sort into the same index order
     in both windows, and the indices below index d form a prefix of that
@@ -93,11 +82,24 @@ def first_split(
     disagreeing pairs. Each window keeps its values seen so far sorted, so
     reaching depth d costs O(d log d) exact comparisons, however long the
     windows are.
+
+    Each window is read with ``value_at`` as d advances, so only ``h`` up to
+    index m + d and ``g`` up to index n + d are drawn. A window that ends
+    before the split raises :class:`ListingExhausted`. Errors come in the
+    order an eager draw would raise them, the first ``h_need`` values of
+    ``h`` (default ``length + m``) before any of ``g``: when a read of
+    ``g`` fails, ``h`` is drawn that far first.
     """
+    h_at, g_at = h.value_at, g.value_at
     seen_h: list[Fraction] = []
     seen_g: list[Fraction] = []
     for d in range(length):
-        h_value, g_value = hv[d + m], gv[d + n]
+        h_value = h_at(d + m)
+        try:
+            g_value = g_at(d + n)
+        except Exception:
+            h.prefix(length + m if h_need is None else h_need)
+            raise
         rank = bisect_left(seen_h, h_value)
         if bisect_left(seen_g, g_value) != rank:
             return d
@@ -112,48 +114,24 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
     Agreement holds exactly when the two order patterns are equal. On
     disagreement, the witness is the first violating pair when scanning j
     upward and, inside each j, i upward over i < j.
+
+    Only indices up to the first split j are drawn, so a witness is
+    reported even from a listing shorter than ``length``; the shortfall
+    error is raised only when agreement would need the missing values.
     """
-    hv = h.prefix(length)
-    gv = g.prefix(length)
-    j = first_split(hv, gv, 0, 0, length)
+    j = first_split(h, g, 0, 0, length)
     if j is None:
         return Agree(length)
+    hv, gv = h.prefix(j + 1), g.prefix(j + 1)
     i = next(i for i in range(j) if (hv[i] < hv[j]) != (gv[i] < gv[j]))
     return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
-
-
-def witness_pairs(
-    h: Listing, g: Listing, m: int, n: int, length: int
-) -> list[WitnessPair]:
-    """All witness pairs under shifts (m, n) with both indices below
-    ``length``, in lexicographic (i, j) order."""
-    hv = h.prefix(length + m)
-    gv = g.prefix(length + n)
-    found = []
-    for i in range(length):
-        for j in range(length):
-            if i != j and hv[i + m] < hv[j + m] and gv[i + n] > gv[j + n]:
-                found.append(
-                    WitnessPair(i, j, hv[i + m], hv[j + m], gv[i + n], gv[j + n])
-                )
-    return found
-
-
-def project_first(pairs: list[WitnessPair]) -> set[int]:
-    """Indices appearing as the first component of some witness pair."""
-    return {p.i for p in pairs}
-
-
-def project_second(pairs: list[WitnessPair]) -> set[int]:
-    """Indices appearing as the second component of some witness pair."""
-    return {p.j for p in pairs}
 
 
 def witness_projections(
     h: Listing, g: Listing, m: int, n: int, length: int
 ) -> tuple[set[int], set[int]]:
-    """``project_first`` and ``project_second`` of :func:`witness_pairs`,
-    without building the pairs.
+    """The first and second indices of the witness pairs under shifts
+    (m, n) with both indices below ``length``, without building the pairs.
 
     Index i is a first index iff some point with a larger h-value has a
     smaller g-value, and j is a second index iff some point with a smaller
@@ -197,32 +175,40 @@ class WitnessReport:
 
 
 def _minimal_witness(
-    hv: list[Fraction], gv: list[Fraction], m: int, n: int, length: int
+    h: Listing, g: Listing, m: int, n: int, length: int, h_need: int
 ) -> WitnessPair | None:
     # Smallest max(i, j) first, ties in lexicographic (i, j) order: every
     # (i, d) with i < d comes before every (d, j).
-    d = first_split(hv, gv, m, n, length)
+    d = first_split(h, g, m, n, length, h_need=h_need)
     if d is None:
         return None
-    hd, gd = hv[d + m], gv[d + n]
+    hv, gv = h.prefix(d + m + 1)[m:], g.prefix(d + n + 1)[n:]
+    hd, gd = hv[d], gv[d]
     for i in range(d):
-        if hv[i + m] < hd and gv[i + n] > gd:
-            return WitnessPair(i, d, hv[i + m], hd, gv[i + n], gd)
-    j = next(j for j in range(d) if hd < hv[j + m] and gd > gv[j + n])
-    return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
+        if hv[i] < hd and gv[i] > gd:
+            return WitnessPair(i, d, hv[i], hd, gv[i], gd)
+    j = next(j for j in range(d) if hd < hv[j] and gd > gv[j])
+    return WitnessPair(d, j, hd, hv[j], gd, gv[j])
 
 
 def search_shift_witnesses(
     h: Listing, g: Listing, m_max: int, n_max: int, length: int
 ) -> WitnessReport:
     """Minimal witness (or candidate marker) for every shift pair up to the
-    bounds, with both indices below ``length``."""
-    hv = h.prefix(length + m_max)
-    gv = g.prefix(length + n_max)
+    bounds, with both indices below ``length``.
+
+    The cells share ``h`` and ``g``, and each draws only up to its shift
+    plus its split depth plus one. A witness is reported even from a
+    listing too short for the whole search; the shortfall error is raised
+    only for a cell that needs the missing values, with the message an
+    eager draw of ``length + m_max`` values of ``h``, then ``length +
+    n_max`` of ``g``, would give.
+    """
     cells = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            cells.append(Cell(m, n, _minimal_witness(hv, gv, m, n, length)))
+            witness = _minimal_witness(h, g, m, n, length, length + m_max)
+            cells.append(Cell(m, n, witness))
     return WitnessReport(m_max, n_max, length, tuple(cells))
 
 
@@ -383,30 +369,3 @@ def finite_coorder(a_values: list[Fraction], b_values: list[Fraction]) -> bool:
         if len(set(values)) != len(values):
             raise DuplicateValuesError("finite co-order inputs must be duplicate-free")
     return len(a_values) == len(b_values)
-
-
-ORACLE_SIZE_CAP = 8
-
-
-def _pattern_of(values: tuple[Fraction, ...]) -> tuple[int, ...]:
-    return tuple(sum(other < v for other in values) for v in values)
-
-
-def all_order_patterns(values: list[Fraction]) -> frozenset[tuple[int, ...]]:
-    """Order patterns realizable by listing the values in every order."""
-    return frozenset(_pattern_of(perm) for perm in permutations(values))
-
-
-def brute_force_coorder_oracle(
-    a_values: list[Fraction], b_values: list[Fraction]
-) -> bool:
-    """Independent check by exhaustive permutation search: true when some
-    orderings of the two lists share an order pattern."""
-    for values in (a_values, b_values):
-        if len(values) > ORACLE_SIZE_CAP:
-            raise OracleSizeError(
-                f"oracle capped at {ORACLE_SIZE_CAP} values, got {len(values)}"
-            )
-        if len(set(values)) != len(values):
-            raise DuplicateValuesError("oracle inputs must be duplicate-free")
-    return not all_order_patterns(a_values).isdisjoint(all_order_patterns(b_values))

@@ -107,12 +107,12 @@ class Listing:
         self._fill(n)
         if len(self._memo) < n:
             raise ListingExhausted(len(self._memo), self._cut_off)
-        return list(self._memo[:n])
+        return self._memo[:n]
 
     def try_prefix(self, n: int) -> list[Fraction]:
         """Up to ``n`` values, shorter if the stream ends first."""
         self._fill(n)
-        return list(self._memo[: min(n, len(self._memo))])
+        return self._memo[:n]
 
     def is_exhausted(self) -> bool:
         """True once the underlying stream is known to have ended."""
@@ -517,8 +517,8 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         raise DuplicateValuesError("added values must be pairwise distinct")
     if not added:
         return spec
-    scanned = spec.listing().try_prefix(EDIT_SCAN_PREFIX)
-    clash = [v for v in added if v in set(scanned)]
+    scanned = set(spec.listing().try_prefix(EDIT_SCAN_PREFIX))
+    clash = [v for v in added if v in scanned]
     if clash:
         shown = ", ".join(format_rational(v) for v in clash)
         raise ValueError(f"values already present in the set: {shown}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import permutations
 
 from enumorder.coorder import (
     Agree,
@@ -16,6 +17,7 @@ from enumorder.coorder import (
     WitnessPair,
 )
 from enumorder.listings import (
+    DuplicateValuesError,
     SetSpec,
     add_finite,
     build_A,
@@ -76,29 +78,85 @@ def pattern_by_counting(values):
     return [sum(other < v for other in values) for v in values]
 
 
+def order_pattern(h, length):
+    """Rank sequence of the prefix: entry k counts indices t with h(t) < h(k).
+
+    A permutation of 0..length-1, since listings are injective.
+    """
+    values = h.prefix(length)
+    rank = {v: r for r, v in enumerate(sorted(values))}
+    return [rank[v] for v in values]
+
+
+def witness_pairs(h, g, m, n, length):
+    """All witness pairs under shifts (m, n) with both indices below
+    ``length``, in lexicographic (i, j) order."""
+    hv = h.prefix(length + m)
+    gv = g.prefix(length + n)
+    found = []
+    for i in range(length):
+        for j in range(length):
+            if i != j and hv[i + m] < hv[j + m] and gv[i + n] > gv[j + n]:
+                found.append(
+                    WitnessPair(i, j, hv[i + m], hv[j + m], gv[i + n], gv[j + n])
+                )
+    return found
+
+
+def project_first(pairs):
+    """Indices appearing as the first component of some witness pair."""
+    return {p.i for p in pairs}
+
+
+def project_second(pairs):
+    """Indices appearing as the second component of some witness pair."""
+    return {p.j for p in pairs}
+
+
+def _shortfall(h, g, h_need, g_need):
+    """Raise the shortfall an eager draw of h's values, then g's, raises."""
+    h.prefix(h_need)
+    g.prefix(g_need)
+    raise AssertionError("no listing falls short of the values needed")
+
+
 def prefix_coorder_scan(h, g, length):
     """Pairwise co-order oracle: the first pair (i, j), scanning j upward
-    and i upward below j, that the two prefixes order oppositely."""
-    hv = h.prefix(length)
-    gv = g.prefix(length)
-    for j in range(length):
+    and i upward below j, that the two prefixes order oppositely.
+
+    Scans the part of the prefix both listings have; raises their shortfall
+    only when no pair there disagrees, as agreement needs the rest."""
+    hv = h.try_prefix(length)
+    gv = g.try_prefix(length)
+    scanned = min(len(hv), len(gv))
+    for j in range(scanned):
         for i in range(j):
             if (hv[i] < hv[j]) != (gv[i] < gv[j]):
                 return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
+    if scanned < length:
+        _shortfall(h, g, length, length)
     return Agree(length)
 
 
-def minimal_witness_scan(hv, gv, m, n, length):
+def minimal_witness_scan(h, g, m, n, length):
     """Shift-search oracle: the witness with the smallest max(i, j), ties in
-    lexicographic (i, j) order, found by scanning every pair at each depth."""
-    for d in range(1, length):
-        hd, gd = hv[d + m], gv[d + n]
+    lexicographic (i, j) order, found by scanning every pair at each depth.
+
+    Scans the depths both shifted windows have; raises their shortfall only
+    when no witness lies there, as a candidate needs the rest."""
+    hv = h.try_prefix(length + m)[m:]
+    gv = g.try_prefix(length + n)[n:]
+    scanned = min(len(hv), len(gv))
+    for d in range(1, scanned):
+        hd, gd = hv[d], gv[d]
         for i in range(d):
-            if hv[i + m] < hd and gv[i + n] > gd:
-                return WitnessPair(i, d, hv[i + m], hd, gv[i + n], gd)
+            if hv[i] < hd and gv[i] > gd:
+                return WitnessPair(i, d, hv[i], hd, gv[i], gd)
         for j in range(d):
-            if hd < hv[j + m] and gd > gv[j + n]:
-                return WitnessPair(d, j, hd, hv[j + m], gd, gv[j + n])
+            if hd < hv[j] and gd > gv[j]:
+                return WitnessPair(d, j, hd, hv[j], gd, gv[j])
+    if scanned < length:
+        _shortfall(h, g, length + m, length + n)
     return None
 
 
@@ -168,3 +226,28 @@ def rationals_in_interval_filtered(a, b):
     """Interval-stream oracle: the canonical enumeration of all rationals,
     filtered to [a, b]."""
     return (v for v in rationals() if a <= v <= b)
+
+
+ORACLE_SIZE_CAP = 8
+
+
+class OracleSizeError(ValueError):
+    """Input exceeds the brute-force oracle's factorial-search cap."""
+
+
+def all_order_patterns(values):
+    """Order patterns realizable by listing the values in every order."""
+    return frozenset(tuple(pattern_by_counting(perm)) for perm in permutations(values))
+
+
+def brute_force_coorder_oracle(a_values, b_values):
+    """Independent check by exhaustive permutation search: true when some
+    orderings of the two lists share an order pattern."""
+    for values in (a_values, b_values):
+        if len(values) > ORACLE_SIZE_CAP:
+            raise OracleSizeError(
+                f"oracle capped at {ORACLE_SIZE_CAP} values, got {len(values)}"
+            )
+        if len(set(values)) != len(values):
+            raise DuplicateValuesError("oracle inputs must be duplicate-free")
+    return not all_order_patterns(a_values).isdisjoint(all_order_patterns(b_values))

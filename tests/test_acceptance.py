@@ -16,13 +16,9 @@ from enumorder.coorder import (
     GapEmpty,
     MatchSuccess,
     ShiftPair,
-    all_order_patterns,
-    brute_force_coorder_oracle,
     finite_coorder,
     match_listing,
-    order_pattern,
     prefix_coorder,
-    witness_pairs,
 )
 from enumorder.experiments import run_theorem9, witness_growth
 from enumorder.listings import (
@@ -36,7 +32,13 @@ from enumorder.listings import (
 )
 from enumorder.seqlang import evaluate, parse, to_text
 
-from helpers import random_spec
+from helpers import (
+    all_order_patterns,
+    brute_force_coorder_oracle,
+    order_pattern,
+    random_spec,
+    witness_pairs,
+)
 from test_seqlang import _random_sequence_expr
 
 

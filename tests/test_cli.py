@@ -100,8 +100,19 @@ def test_check_names_a_cut_off_shortfall(tmp_path, capsys):
     code, out, err = run(capsys, "check", f"seq:{path}", "thirds", "--prefix", "5")
     assert (code, out) == (1, "")
     assert err == "error: listing cut off after 1 values\n"
+    code, out, err = run(capsys, "check", "finite:1/2,3", "thirds", "--prefix", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: listing ended after 2 values\n"
+
+
+def test_check_reports_a_witness_drawn_before_a_shortfall(capsys):
+    # The listing ends after 2 values, but its first two already disagree.
     code, out, err = run(capsys, "check", "finite:3,1/2", "thirds", "--prefix", "5")
-    assert (code, err) == (1, "error: listing ended after 2 values\n")
+    assert (code, err) == (2, "")
+    assert out == "disagree at (i=0, j=1): finite:3,1/2 orders 3 vs 1/2, thirds orders 0 vs 1/3\n"
+    # Both end before the prefix: the shortfall names h first, as a full draw would.
+    code, out, err = run(capsys, "check", "finite:1/2,3,4", "finite:1/2,3", "--prefix", "5")
+    assert (code, out, err) == (1, "", "error: listing ended after 3 values\n")
 
 
 def test_list_prints_values_beyond_the_digit_limit(tmp_path, capsys):
@@ -233,6 +244,14 @@ def test_type2_json_schema(capsys):
         witness = cell["witness"]
         assert witness is not None
         parse_rational(witness["h_i"])  # all values round-trip as p/q text
+
+
+def test_format_default_does_not_leak_between_calls(capsys):
+    query = ["type2", "harmonic", "thirds", "--mmax", "0", "--nmax", "0", "--prefix", "5"]
+    code, out, err = run(capsys, *query, "--format", "json")
+    assert (code, json.loads(out)["experiment"]) == (2, "type2")
+    code, out, err = run(capsys, *query)
+    assert (code, out) == (2, "every shift pair has a witness below 5\n")
 
 
 def test_type2_json_descriptor_text_round_trips(capsys):

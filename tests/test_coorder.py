@@ -12,17 +12,10 @@ from enumorder.coorder import (
     FuelExhausted,
     GapEmpty,
     MatchSuccess,
-    OracleSizeError,
-    all_order_patterns,
-    brute_force_coorder_oracle,
     finite_coorder,
     match_listing,
-    order_pattern,
     prefix_coorder,
-    project_first,
-    project_second,
     search_shift_witnesses,
-    witness_pairs,
 )
 from enumorder.listings import (
     DEDUP_RUN_LIMIT,
@@ -38,7 +31,17 @@ from enumorder.listings import (
     shift,
 )
 
-from helpers import pattern_by_counting, random_spec
+from helpers import (
+    OracleSizeError,
+    all_order_patterns,
+    brute_force_coorder_oracle,
+    order_pattern,
+    pattern_by_counting,
+    project_first,
+    project_second,
+    random_spec,
+    witness_pairs,
+)
 
 
 def F(*args):

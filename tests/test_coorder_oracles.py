@@ -1,39 +1,83 @@
 """The insertion-rank locator and the projection sweep against their
 brute-force predecessors, over random spec pairs, shifts and lengths.
 
-Short finite listings are in the spec pool, so some draws ask for more
-values than a listing has; both sides must then raise the same
-``ListingExhausted``.
+Each side is a spec from the shared pool or a short listing that ends, is
+cut off (as the duplicate limit cuts a listing off) or goes on, so many
+draws ask for more values than a listing has. A witness found before a
+listing runs short is reported; when the verdict needs values a listing
+lacks, both sides must raise the same ``ListingExhausted``, with the
+message an eager draw of h's prefix, then g's, raises.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import count
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumorder.coorder import (
+    Disagree,
+    WitnessPair,
     first_split,
     prefix_coorder,
-    project_first,
-    project_second,
     search_shift_witnesses,
-    witness_pairs,
     witness_projections,
 )
-from enumorder.listings import ListingExhausted
+from enumorder.listings import (
+    DEDUP_RUN_LIMIT,
+    Listing,
+    ListingCutOff,
+    ListingExhausted,
+    builtin_thirds,
+)
 
-from helpers import minimal_witness_scan, prefix_coorder_scan, spec_factories
+from helpers import (
+    minimal_witness_scan,
+    prefix_coorder_scan,
+    project_first,
+    project_second,
+    spec_factories,
+    witness_pairs,
+)
 
 SPEC_COUNT = len(spec_factories())
-specs = st.integers(0, SPEC_COUNT - 1)
+# A side is a spec pool index, or short values with how their stream ends.
+specs = st.one_of(
+    st.integers(0, SPEC_COUNT - 1),
+    st.tuples(
+        st.lists(st.integers(-12, 12), unique=True, max_size=10),
+        st.sampled_from(("ended", "cut off", "infinite")),
+    ),
+)
 shifts = st.integers(0, 3)
 lengths = st.integers(0, 40)
-oracle_settings = settings(max_examples=150, deadline=None, derandomize=True)
+oracle_settings = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def short_listing(values, end):
+    """The values, then the stream ends, is cut off, or goes on ascending."""
+
+    def stream():
+        yield from map(Fraction, values)
+        if end == "cut off":
+            raise ListingCutOff
+        if end == "infinite":
+            top = max(values, default=0)
+            yield from (Fraction(top + k) for k in count(1))
+
+    return Listing(stream())
+
+
+def listing(side):
+    if isinstance(side, int):
+        return spec_factories()[side]().listing()
+    return short_listing(*side)
 
 
 def listings(a, b):
-    factories = spec_factories()
-    return factories[a]().listing(), factories[b]().listing()
+    return listing(a), listing(b)
 
 
 @dataclass(frozen=True)
@@ -49,6 +93,10 @@ def outcome(fn, *args):
         return Exhausted(str(exc))
 
 
+def split_depth(witness):
+    return None if witness is None else max(witness.i, witness.j)
+
+
 @oracle_settings
 @given(specs, specs, lengths)
 def test_check_matches_pairwise_scan(a, b, length):
@@ -59,32 +107,34 @@ def test_check_matches_pairwise_scan(a, b, length):
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
 def test_every_search_cell_matches_the_oracle(a, b, m_max, n_max, length):
+    # When a cell needs values a listing lacks, the search raises the
+    # shortfall of an eager draw of h's values, then g's.
+    report = outcome(search_shift_witnesses, *listings(a, b), m_max, n_max, length)
     h, g = listings(a, b)
-    report = outcome(search_shift_witnesses, h, g, m_max, n_max, length)
-    h, g = listings(a, b)
-    values = outcome(lambda: (h.prefix(length + m_max), g.prefix(length + n_max)))
-    if isinstance(values, Exhausted):
-        assert report == values
+    expected = [
+        outcome(minimal_witness_scan, h, g, m, n, length)
+        for m in range(m_max + 1)
+        for n in range(n_max + 1)
+    ]
+    if any(isinstance(cell, Exhausted) for cell in expected):
+        h, g = listings(a, b)
+        eager = outcome(lambda: (h.prefix(length + m_max), g.prefix(length + n_max)))
+        assert isinstance(eager, Exhausted)
+        assert report == eager
         return
-    hv, gv = values
     assert [(c.m, c.n) for c in report.cells] == [
         (m, n) for m in range(m_max + 1) for n in range(n_max + 1)
     ]
-    for cell in report.cells:
-        assert cell.witness == minimal_witness_scan(hv, gv, cell.m, cell.n, length)
+    assert [c.witness for c in report.cells] == expected
 
 
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
 def test_first_split_is_the_minimal_witness_depth(a, b, m, n, length):
-    h, g = listings(a, b)
-    values = outcome(lambda: (h.prefix(length + m), g.prefix(length + n)))
-    if isinstance(values, Exhausted):
-        return
-    hv, gv = values
-    witness = minimal_witness_scan(hv, gv, m, n, length)
-    expected = None if witness is None else max(witness.i, witness.j)
-    assert first_split(hv, gv, m, n, length) == expected
+    expected = outcome(minimal_witness_scan, *listings(a, b), m, n, length)
+    if not isinstance(expected, Exhausted):
+        expected = split_depth(expected)
+    assert outcome(first_split, *listings(a, b), m, n, length) == expected
 
 
 @oracle_settings
@@ -96,3 +146,55 @@ def test_sweep_matches_projected_pairs(a, b, m, n, length):
         assert sweep == pairs
         return
     assert sweep == (project_first(pairs), project_second(pairs))
+
+
+# --- the shortfall rule, case by case -----------------------------------------------
+
+
+def plateau():
+    """One value, then a duplicate run that trips the cut-off."""
+    return Listing(Fraction(0) for _ in range(DEDUP_RUN_LIMIT + 1))
+
+
+def values(*texts):
+    return short_listing([Fraction(t) for t in texts], "ended")
+
+
+def thirds():
+    return builtin_thirds().listing()
+
+
+F = Fraction
+SHORTFALL_CASES = [
+    # h short, split before its end: the witness stands.
+    (lambda: (values(3, "1/2"), thirds()), Disagree(WitnessPair(0, 1, F(3), F(1, 2), F(0), F(1, 3)))),
+    # h short, ends before the split.
+    (lambda: (values("1/2", 3), thirds()), Exhausted("listing ended after 2 values")),
+    # g short, on either side of the split.
+    (lambda: (thirds(), values(3, "1/2")), Disagree(WitnessPair(0, 1, F(0), F(1, 3), F(3), F(1, 2)))),
+    (lambda: (thirds(), values("1/2", 3)), Exhausted("listing ended after 2 values")),
+    # Both short: split before either end, or h named first though g ends first.
+    (lambda: (values(3, "1/2", 4), values("1/2", 3)), Disagree(WitnessPair(0, 1, F(3), F(1, 2), F(1, 2), F(3)))),
+    (lambda: (values("1/2", 3, 4), values("1/2", 3)), Exhausted("listing ended after 3 values")),
+    # Cut off by the duplicate limit, before any split is possible.
+    (lambda: (plateau(), thirds()), Exhausted("listing cut off after 1 values")),
+    (lambda: (thirds(), plateau()), Exhausted("listing cut off after 1 values")),
+]
+
+
+@pytest.mark.parametrize("make, expected", SHORTFALL_CASES, ids=range(len(SHORTFALL_CASES)))
+def test_shortfall_rule_cases(make, expected):
+    assert outcome(prefix_coorder, *make(), 5) == expected
+    assert outcome(prefix_coorder_scan, *make(), 5) == expected
+    cells = outcome(search_shift_witnesses, *make(), 0, 0, 5)
+    if isinstance(expected, Exhausted):
+        assert cells == expected
+    else:
+        assert split_depth(cells.cells[0].witness) == expected.witness.j
+
+
+def test_search_shortfall_names_h_as_its_largest_shift_would():
+    # g ends inside cell (0, 0), where h has the 2 values it needs; cell
+    # (1, 0) would need 3, so an eager draw of h's values before g's names h.
+    report = outcome(search_shift_witnesses, values("1/2", 3), values("1/2"), 1, 0, 2)
+    assert report == Exhausted("listing ended after 2 values")
