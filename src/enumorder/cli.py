@@ -44,7 +44,7 @@ from .listings import (
     remove_finite,
     shift_spec,
 )
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .seqlang import parse, seq_spec
 
 EXIT_OK = 0
@@ -57,27 +57,15 @@ class FamilyRefError(ValueError):
     """A family reference failed to resolve; names the failing segment."""
 
 
-def _parse_value(text: str, segment: str) -> Fraction:
+def _int(text: str) -> int:
     try:
-        return parse_rational(text)
-    except (RationalParseError, ZeroDivisionError) as exc:
-        raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_values(text: str, segment: str, separator: str) -> list[Fraction]:
-    if not text:
-        return []
-    return [_parse_value(part, segment) for part in text.split(separator)]
-
-
-def _parse_index(text: str, segment: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise FamilyRefError(f"segment {segment!r}: not an integer: {text!r}") from exc
-    if value < 1:
-        raise FamilyRefError(f"segment {segment!r}: family index must be >= 1")
-    return value
+def _values(text: str, separator: str) -> list[Fraction]:
+    return [parse_rational(part) for part in text.split(separator)] if text else []
 
 
 def _resolve_base(text: str) -> SetSpec:
@@ -85,94 +73,58 @@ def _resolve_base(text: str) -> SetSpec:
         return builtin_harmonic()
     if text == "thirds":
         return builtin_thirds()
-    if text.startswith("T:"):
-        return build_T(_parse_index(text[2:], text))
-    if text.startswith("A:"):
-        return build_A(_parse_index(text[2:], text))
-    if text.startswith("interval:"):
-        parts = text[len("interval:") :].split(",")
-        if len(parts) != 2:
-            raise FamilyRefError(f"segment {text!r}: expected interval:<a>,<b>")
-        a, b = (_parse_value(p, text) for p in parts)
-        if a > b:
-            raise FamilyRefError(f"segment {text!r}: bounds out of order")
-        return rationals_in_interval(a, b)
-    if text.startswith("finite:"):
-        values = _parse_values(text[len("finite:") :], text, ",")
-        try:
-            return finite_listing(values)
-        except ValueError as exc:
-            raise FamilyRefError(f"segment {text!r}: {exc}") from exc
-    if text.startswith("dyadic:"):
-        return _resolve_dyadic(text[len("dyadic:") :], text)
-    if text.startswith("seq:"):
-        return _resolve_seq(text[len("seq:") :], text)
-    raise FamilyRefError(f"segment {text!r}: unknown family")
-
-
-def _resolve_dyadic(path_text: str, segment: str) -> SetSpec:
-    path = Path(path_text)
-    if not path.is_file():
-        raise FamilyRefError(f"segment {segment!r}: no such file: {path_text}")
-    indices = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            indices.append(_parse_value(line, segment))
-    try:
-        index_spec = finite_listing(indices)
-    except ValueError as exc:
-        raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
-    spec = builtin_dyadic(index_spec.listing())
-    spec.name = f"dyadic:{path_text}"
-    return spec
-
-
-def _resolve_seq(rest: str, segment: str) -> SetSpec:
-    i_value = 1
-    path_text = rest
-    if ":i=" in rest:
-        path_text, _, i_text = rest.rpartition(":i=")
-        try:
-            i_value = int(i_text)
-        except ValueError as exc:
-            raise FamilyRefError(f"segment {segment!r}: bad i value {i_text!r}") from exc
-    path = Path(path_text)
-    if not path.is_file():
-        raise FamilyRefError(f"segment {segment!r}: no such file: {path_text}")
-    try:
-        expr = parse(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
-    return seq_spec(expr, i_value, f"seq:{path_text}:i={i_value}")
+    head, colon, rest = text.partition(":")
+    kind = head + colon  # "T:" for "T:3"; no kind matches a segment without ":"
+    if kind == "T:":
+        return build_T(_int(rest))
+    if kind == "A:":
+        return build_A(_int(rest))
+    if kind == "interval:":
+        bounds = rest.split(",")
+        if len(bounds) != 2:
+            raise ValueError("expected interval:<a>,<b>")
+        return rationals_in_interval(*map(parse_rational, bounds))
+    if kind == "finite:":
+        return finite_listing(_values(rest, ","))
+    if kind == "dyadic:":
+        lines = Path(rest).read_text(encoding="utf-8").splitlines()
+        indices = [line.split("#", 1)[0] for line in lines]
+        index_spec = finite_listing([parse_rational(m) for m in indices if m.strip()])
+        return builtin_dyadic(index_spec.listing(), text)
+    if kind == "seq:":
+        path_text, i_text = rest.rsplit(":i=", 1) if ":i=" in rest else (rest, "1")
+        i_value = _int(i_text)
+        expr = parse(Path(path_text).read_text(encoding="utf-8"))
+        return seq_spec(expr, i_value, f"seq:{path_text}:i={i_value}")
+    raise ValueError("unknown family")
 
 
 def _apply_modifier(spec: SetSpec, modifier: str) -> SetSpec:
-    if modifier.startswith("shift="):
-        text = modifier[len("shift=") :]
-        try:
-            m = int(text)
-        except ValueError as exc:
-            raise FamilyRefError(f"segment {modifier!r}: not an integer: {text!r}") from exc
-        if m < 0:
-            raise FamilyRefError(f"segment {modifier!r}: shift must be nonnegative")
-        return shift_spec(spec, m)
-    if modifier.startswith("drop="):
-        return remove_finite(spec, _parse_values(modifier[len("drop=") :], modifier, ";"))
-    if modifier.startswith("add="):
-        try:
-            return add_finite(spec, _parse_values(modifier[len("add=") :], modifier, ";"))
-        except ValueError as exc:
-            raise FamilyRefError(f"segment {modifier!r}: {exc}") from exc
-    raise FamilyRefError(f"segment {modifier!r}: unknown modifier")
+    head, equals, rest = modifier.partition("=")
+    kind = head + equals
+    if kind == "shift=":
+        return shift_spec(spec, _int(rest))
+    if kind == "drop=":
+        return remove_finite(spec, _values(rest, ";"))
+    if kind == "add=":
+        return add_finite(spec, _values(rest, ";"))
+    raise ValueError("unknown modifier")
 
 
 def resolve_family(ref: str) -> SetSpec:
-    """Resolve a family reference, applying modifiers left to right."""
-    segments = ref.split("+")
-    spec = _resolve_base(segments[0])
-    for modifier in segments[1:]:
-        spec = _apply_modifier(spec, modifier)
+    """Resolve a family reference, applying modifiers left to right.
+
+    Whatever a segment raises -- bad syntax, a value a builder refuses, a
+    file that cannot be read, a value drawn while a modifier scans the
+    listing -- is reported once, as a :class:`FamilyRefError` naming it.
+    """
+    segment, *modifiers = ref.split("+")
+    try:
+        spec = _resolve_base(segment)
+        for segment in modifiers:
+            spec = _apply_modifier(spec, segment)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
     return spec
 
 
@@ -242,8 +194,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     listing = spec.listing()
     values = listing.try_prefix(args.count)
     if len(values) < args.count:
-        how = "cut off" if listing.is_cut_off() else "ended"
-        print(f"note: listing {how} after {len(values)} values", file=sys.stderr)
+        print(f"note: {ListingExhausted(len(values), listing.is_cut_off())}", file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps([format_rational(v) for v in values]), args.out)
     elif args.format == "svg":
@@ -314,19 +265,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "theorem9":
+    if args.name == "theorem9":
         report = experiments.run_theorem9(args.imax, args.mmax, args.nmax, args.prefix)
-    elif name == "theorem5":
+    elif args.name == "theorem5":
         report = experiments.run_theorem5(args.imax, args.mmax, args.nmax, args.prefix)
-    elif name == "examples":
+    elif args.name == "examples":
         report = experiments.run_examples()
-    elif name == "lemma5":
-        schedule = [int(part) for part in args.schedule.split(",")]
-        report = experiments.run_lemma5(schedule=schedule)
+    elif args.name == "lemma5":
+        report = experiments.run_lemma5(schedule=args.schedule)
     else:
-        print(f"error: unknown experiment {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown experiment {args.name!r}")
     _emit(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
@@ -340,6 +288,11 @@ def _natural(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _naturals(text: str) -> list[int]:
+    """Argument type of ``--schedule``: comma-separated integers >= 0."""
+    return [_natural(part) for part in text.split(",")]
 
 
 @functools.cache
@@ -390,6 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
     p_repro.add_argument(
         "--schedule",
+        type=_naturals,
         default=",".join(str(n) for n in experiments.DEFAULT_GROWTH_SCHEDULE),
         help="prefix schedule for the growth experiment",
     )
@@ -407,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ListingExhausted, ValueError, ZeroDivisionError) as exc:
+    except (ListingExhausted, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,6 +43,9 @@ GapOracle = Callable[[Optional[Fraction], Optional[Fraction]], bool]
 # has not ended: the set it lists may still be infinite.
 DEDUP_RUN_LIMIT = 10_000
 
+# Largest bit length a computed power may reach (about 1.2 million digits).
+MAX_POWER_BITS = 4_000_000
+
 
 class ListingExhausted(Exception):
     """An index beyond the last value of a listing was requested: beyond
@@ -266,8 +269,11 @@ def builtin_thirds() -> SetSpec:
     return SetSpec("thirds", stream, OMEGA, oracle)
 
 
-def builtin_dyadic(index_listing: Listing) -> SetSpec:
-    """Powers 2**(-m) for each m drawn from an index listing of naturals."""
+def builtin_dyadic(index_listing: Listing, name: str = "dyadic") -> SetSpec:
+    """Powers 2**(-m) for each m drawn from an index listing of naturals.
+
+    A power of more than ``MAX_POWER_BITS`` bits is refused when drawn.
+    """
 
     def stream() -> Iterator[Fraction]:
         for k, v in enumerate(index_listing):
@@ -276,9 +282,15 @@ def builtin_dyadic(index_listing: Listing) -> SetSpec:
                     f"index listing produced {format_rational(v)} at position {k}; "
                     "expected a natural number"
                 )
+            if v >= MAX_POWER_BITS:
+                m = format_rational(v)
+                raise ValueError(
+                    f"index listing produced {m} at position {k}; "
+                    f"2**{m} exceeds the {MAX_POWER_BITS}-bit cap"
+                )
             yield Fraction(1, 2 ** int(v))
 
-    return SetSpec("dyadic", stream)
+    return SetSpec(name, stream)
 
 
 def build_T(i: int) -> SetSpec:
@@ -484,7 +496,7 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         return spec
 
     def stream() -> Iterator[Fraction]:
-        return (v for v in spec.make_stream() if v not in removed)
+        return (v for v in spec.listing() if v not in removed)
 
     if _all_infinite_blocks(spec.descriptor):
         # Deleting finitely many points leaves every infinite block infinite.

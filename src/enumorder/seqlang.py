@@ -18,6 +18,9 @@ then ``+``/``-``; equal-precedence binary operators associate left.
 Exponents are literal nonnegative integers; rationals arise by division.
 Every exponent, and every power's degree in ``n``, is at most ``MAX_DEGREE``;
 more is a syntax error at the exponent, found before anything is evaluated.
+Expressions nest at most ``MAX_DEPTH`` levels, each operator and each pair of
+parentheses adding one; more is a syntax error at the operator or the
+parenthesis that opens the level too many.
 The degree of ``b^k`` is k times the degree of ``b``, where ``n`` has degree
 1, literals and ``i`` have degree 0, ``*`` and ``/`` add degrees, ``+`` and
 ``-`` take the larger, and negation keeps it. Literals and ``i`` can still
@@ -38,14 +41,15 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator
 
-from .listings import SetSpec
+from .listings import MAX_POWER_BITS, SetSpec
 from .rational import format_rational, parse_rational
 
 # Largest exponent, and largest degree in n, that a power may have.
 MAX_DEGREE = 100_000
 
-# Largest bit length an evaluated power may reach (about 1.2 million digits).
-MAX_POWER_BITS = 4_000_000
+# Largest nesting depth of an expression: each operator and each pair of
+# parentheses adds a level. It bounds the recursion of parsing and evaluation.
+MAX_DEPTH = 200
 
 
 class SeqSyntaxError(ValueError):
@@ -210,6 +214,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -252,8 +257,8 @@ class _Parser:
             self.advance()
             guard = self.parse_guard()
             self.expect(":")
-            return Clause(guard, self.parse_expr())
-        return Clause(None, self.parse_expr())
+            return Clause(guard, self.parse_expr()[0])
+        return Clause(None, self.parse_expr()[0])
 
     def parse_guard(self) -> Guard:
         token = self.peek()
@@ -279,53 +284,67 @@ class _Parser:
             raise self.fail(("<", ">="))
         raise self.fail(("i", "n", "otherwise"))
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def nest(self, token: _Token, depth: int) -> int:
+        """Depth of the node that ``token`` opens over a child of ``depth``."""
+        if depth >= MAX_DEPTH:
+            expected = f"a nesting depth <= {MAX_DEPTH}"
+            raise SeqSyntaxError(token.offset, (expected,), repr(token.text))
+        return depth + 1
+
+    # The expression methods return each node with its nesting depth.
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, depth = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
+            op = self.advance()
+            right, right_depth = self.parse_term()
+            node, depth = BinOp(op.kind, node, right), self.nest(op, max(depth, right_depth))
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, depth = self.parse_factor()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            op = self.advance()
+            right, right_depth = self.parse_factor()
+            node, depth = BinOp(op.kind, node, right), self.nest(op, max(depth, right_depth))
+        return node, depth
 
-    def parse_factor(self) -> Expr:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        node = self.parse_atom()
+    def parse_factor(self) -> tuple[Expr, int]:
+        minus = self.advance() if self.peek().kind == "-" else None
+        node, depth = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
+            caret = self.advance()
             exponent = self.expect("int")
             digits = exponent.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise self.degree_error(exponent)
-            node = Pow(node, int(digits))
+            node, depth = Pow(node, int(digits)), self.nest(caret, depth)
             if _degree(node) > MAX_DEGREE:
                 raise self.degree_error(exponent)
-        if negate:
-            node = Neg(node)
-        return node
+        if minus is not None:
+            node, depth = Neg(node), self.nest(minus, depth)
+        return node, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         token = self.peek()
         if token.kind == "int":
             self.advance()
             # parse_rational reads integers of any length.
-            return Lit(parse_rational(token.text).numerator)
+            return Lit(parse_rational(token.text).numerator), 0
         if token.kind == "name" and token.text in ("n", "i"):
             self.advance()
-            return Var(token.text)
+            return Var(token.text), 0
         if token.kind == "(":
+            # Checked before descending, so that deep parentheses cannot
+            # exhaust the stack: a group is at least as deep as the number
+            # of parentheses open around it, its own included.
+            self.nest(token, self.open)
             self.advance()
-            node = self.parse_expr()
+            self.open += 1
+            node, depth = self.parse_expr()
+            self.open -= 1
             self.expect(")")
-            return node
+            return node, self.nest(token, depth)
         raise self.fail(("int", "n", "i", "("))
 
 

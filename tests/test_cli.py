@@ -5,8 +5,9 @@ import json
 import pytest
 
 from enumorder.cli import main, resolve_family, FamilyRefError
-from enumorder.listings import build_T
+from enumorder.listings import MAX_POWER_BITS, build_T
 from enumorder.rational import parse_rational
+from enumorder.seqlang import MAX_DEPTH
 
 
 # Ten thousand and one zeros, then n: infinite, but the duplicate run trips
@@ -30,12 +31,35 @@ def test_resolve_builtins():
     assert resolve_family("A:2").name == "A:2"
 
 
-def test_resolution_errors_name_the_segment():
+def test_resolution_errors_name_the_segment(tmp_path):
+    (tmp_path / "pole.seq").write_text("1/(n-3)\n", encoding="utf-8")
     for ref in ("nosuch", "T:0", "T:x", "interval:2,1", "interval:1", "finite:1,1",
-                "harmonic+bogus=3", "harmonic+shift=-1"):
+                "harmonic+bogus=3", "harmonic+shift=-1", f"seq:{tmp_path}/pole.seq:i=x",
+                f"seq:{tmp_path}/missing.seq", f"seq:{tmp_path}", f"dyadic:{tmp_path}/missing",
+                f"dyadic:{tmp_path}", f"seq:{tmp_path}/pole.seq+shift=5",
+                f"seq:{tmp_path}/pole.seq+add=7", "harmonic+add=1/0"):
         with pytest.raises(FamilyRefError) as failure:
             resolve_family(ref)
         assert "segment" in str(failure.value)
+
+
+def test_resolution_messages(tmp_path):
+    (tmp_path / "pole.seq").write_text("1/(n-3)\n", encoding="utf-8")
+    pole = f"seq:{tmp_path}/pole.seq"
+    for ref, message in (
+        ("T:0", "segment 'T:0': family index must be >= 1, got 0"),
+        ("interval:2,1", "segment 'interval:2,1': interval bounds out of order: 2 > 1"),
+        ("harmonic+shift=-1", "segment 'shift=-1': shift must be nonnegative, got -1"),
+        (f"{pole}:i=x", f"segment '{pole}:i=x': not an integer: 'x'"),
+        (f"{pole}+shift=5", "segment 'shift=5': division by zero at (i=1, n=3)"),
+        ("harmonic+add=1/0", "segment 'add=1/0': zero denominator in '1/0'"),
+        (f"seq:{tmp_path}/missing.seq",
+         f"segment 'seq:{tmp_path}/missing.seq': [Errno 2] No such file or directory: "
+         f"'{tmp_path}/missing.seq'"),
+    ):
+        with pytest.raises(FamilyRefError) as failure:
+            resolve_family(ref)
+        assert str(failure.value) == message
 
 
 def test_resolve_modifiers():
@@ -149,6 +173,24 @@ def test_oversized_power_is_one_line_error(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
     assert err.startswith("error: power of up to") and "(i=1, n=1)" in err
+
+
+def test_drop_keeps_the_cut_off(tmp_path, capsys):
+    # 10,004 fives, then n: dropping 5 must not skip past the duplicate run.
+    path = tmp_path / "plateau5.seq"
+    path.write_text("case n < 10005: 5 ; case otherwise: n\n", encoding="utf-8")
+    code, out, err = run(capsys, "list", f"seq:{path}+drop=5", "--count", "2")
+    assert (code, out, err) == (0, "\n", "note: listing cut off after 0 values\n")
+
+
+def test_deepest_definitions_list_from_main(tmp_path, capsys):
+    for name, text, values in (
+        ("parens", "(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH, "1, 2, 3"),
+        ("chain", "n" + "-n" * MAX_DEPTH, ", ".join(str(n - n * MAX_DEPTH) for n in (1, 2, 3))),
+    ):
+        path = tmp_path / f"{name}.seq"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert run(capsys, "list", f"seq:{path}", "--count", "3") == (0, values + "\n", "")
 
 
 def test_added_value_clash_names_the_values(capsys):
@@ -407,6 +449,12 @@ def test_negative_fuel_is_usage_error(capsys):
     assert "--fuel" in err and "must be >= 0" in err
 
 
+def test_negative_schedule_entry_is_usage_error(capsys):
+    code, out, err = run(capsys, "repro", "lemma5", "--schedule=-5,10")
+    assert (code, out) == (1, "")
+    assert "--schedule" in err and "must be >= 0, got -5" in err
+
+
 def test_non_integer_count_is_usage_error(capsys):
     code, out, err = run(capsys, "list", "harmonic", "--count", "x")
     assert code == 1
@@ -419,3 +467,29 @@ def test_evaluation_error_is_one_line_message(tmp_path, capsys):
     code, out, err = run(capsys, "list", f"seq:{path}", "--count", "3")
     assert code == 1
     assert err == "error: division by zero at (i=1, n=3)\n"
+
+
+def test_bad_input_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "pole.seq").write_text("1/(n-3)\n", encoding="utf-8")
+    (tmp_path / "deep.seq").write_text("(" * 250 + "n" + ")" * 250 + "\n", encoding="utf-8")
+    (tmp_path / "long.seq").write_text("n" + "-n" * 989 + "\n", encoding="utf-8")
+    (tmp_path / "indices").write_text(f"{MAX_POWER_BITS}\n0\n", encoding="utf-8")
+    missing = str(tmp_path / "no" / "such" / "file")
+    for argv in (
+        ["list", "harmonic", "--out", missing],
+        ["type2", "harmonic", "thirds", "--format", "json", "--out", missing],
+        ["repro", "examples", "--out", missing],
+        ["repro", "nosuch"],
+        ["list", f"seq:{tmp_path}/deep.seq"],
+        ["list", f"seq:{tmp_path}/long.seq"],
+        ["check", f"dyadic:{tmp_path}/indices", "thirds", "--prefix", "2"],
+        ["list", f"seq:{tmp_path}/pole.seq+shift=5"],
+        ["list", f"seq:{tmp_path}/missing.seq"],
+        ["list", f"dyadic:{tmp_path}"],
+        ["list", "T:0"],
+        ["check", "harmonic", "interval:2,1"],
+        ["match", "harmonic+shift=-1", "thirds"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -8,6 +8,7 @@ import pytest
 
 from enumorder.listings import (
     DEDUP_RUN_LIMIT,
+    MAX_POWER_BITS,
     DuplicateValuesError,
     Listing,
     ListingCutOff,
@@ -167,6 +168,15 @@ def test_shift_harmonic():
     assert shift(builtin_harmonic().listing(), 1).prefix(2) == [F(1, 2), F(1, 3)]
 
 
+def test_dyadic_refuses_powers_over_the_bit_cap():
+    # 2**m has m + 1 bits.
+    indices = finite_listing([F(MAX_POWER_BITS - 1), F(MAX_POWER_BITS)]).listing()
+    ls = builtin_dyadic(indices).listing()
+    assert ls.value_at(0) == F(1, 2 ** (MAX_POWER_BITS - 1))
+    with pytest.raises(ValueError, match=f"exceeds the {MAX_POWER_BITS}-bit cap"):
+        ls.value_at(1)
+
+
 def test_shift_rejects_negative():
     with pytest.raises(ValueError):
         shift(builtin_harmonic().listing(), -1)
@@ -191,6 +201,18 @@ def test_remove_finite_recomputes_finite_size():
     spec = remove_finite(finite_listing([F(1), F(2), F(3)]), [F(2), F(9)])
     assert spec.descriptor == Fin(2)
     assert spec.listing().try_prefix(10) == [F(1), F(3)]
+
+
+def test_remove_finite_keeps_the_cut_off():
+    # 10,004 fives, then n: the repeats cut the listing off after one value,
+    # and dropping that value leaves none before the cut.
+    def stream():
+        for n in count(1):
+            yield F(5) if n < 10_005 else F(n)
+
+    ls = remove_finite(SetSpec("plateau", stream), [F(5)]).listing()
+    assert ls.try_prefix(2) == []
+    assert ls.is_cut_off()
 
 
 def test_add_finite_prepends_sorted():

@@ -8,6 +8,7 @@ import pytest
 from enumorder.listings import ListingExhausted, build_T
 from enumorder.seqlang import (
     MAX_DEGREE,
+    MAX_DEPTH,
     BinOp,
     Clause,
     EvalDivisionByZero,
@@ -107,6 +108,40 @@ def test_nested_and_product_powers_count_toward_the_cap():
         with pytest.raises(SeqSyntaxError) as failure:
             parse(text)
         assert failure.value.offset == offset, text
+
+
+def nested_parentheses(depth: int) -> str:
+    return "(" * depth + "n" + ")" * depth
+
+
+def subtraction_chain(depth: int) -> str:
+    return "-".join(["n"] * (depth + 1))
+
+
+def test_nesting_depth_cap_for_both_shapes():
+    # depth parentheses around n, and depth left-nested subtractions.
+    assert evaluate(parse(nested_parentheses(MAX_DEPTH)), 1, 7) == 7
+    assert evaluate(parse(subtraction_chain(MAX_DEPTH)), 1, 7) == 7 - 7 * MAX_DEPTH
+    # One level more is refused at the parenthesis or operator that opens it.
+    with pytest.raises(SeqSyntaxError) as failure:
+        parse(nested_parentheses(MAX_DEPTH + 1))
+    assert (failure.value.offset, failure.value.found) == (MAX_DEPTH, "'('")
+    with pytest.raises(SeqSyntaxError) as failure:
+        parse(subtraction_chain(MAX_DEPTH + 1))
+    assert (failure.value.offset, failure.value.found) == (2 * MAX_DEPTH + 1, "'-'")
+
+
+def test_nesting_depth_counts_operators_and_parentheses_together():
+    inner = subtraction_chain(MAX_DEPTH // 2)
+    assert parse(f"{'(' * (MAX_DEPTH // 2)}{inner}{')' * (MAX_DEPTH // 2)}")
+    for text in (
+        f"{'(' * (MAX_DEPTH // 2 + 1)}{inner}{')' * (MAX_DEPTH // 2 + 1)}",
+        f"-{nested_parentheses(MAX_DEPTH)}",
+        f"{nested_parentheses(MAX_DEPTH)}^2",
+    ):
+        with pytest.raises(SeqSyntaxError) as failure:
+            parse(text)
+        assert "nesting depth" in str(failure.value)
 
 
 def test_oversized_power_is_refused_before_it_is_computed():
