@@ -119,6 +119,10 @@ def resolve_family(ref: str) -> SetSpec:
     listing -- is reported once, as a :class:`FamilyRefError` naming it.
     """
     segment, *modifiers = ref.split("+")
+    # A file path runs on, "+" and all, up to the first modifier.
+    names_file = segment.startswith(("seq:", "dyadic:"))
+    while names_file and modifiers and not modifiers[0].startswith(("shift=", "drop=", "add=")):
+        segment += "+" + modifiers.pop(0)
     try:
         spec = _resolve_base(segment)
         for segment in modifiers:

@@ -15,6 +15,7 @@ replays come from ``SetSpec.listing()``, whose construction is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,12 +229,12 @@ def _minus_finite_oracle(base: GapOracle, removed: Sequence[Fraction]) -> GapOra
 
     Splitting the queried interval at the deleted points reduces the question
     to base-oracle queries on open subintervals, which exclude the points
-    themselves.
+    themselves. The points are sorted on the first query; most commands ask none.
     """
-    points = sorted(set(removed))
+    points = functools.cache(lambda: sorted(set(removed)))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
-        inside = [p for p in points if in_gap(p, lo, hi)]
+        inside = [p for p in points() if in_gap(p, lo, hi)]
         bounds: list[Fraction | None] = [lo, *inside, hi]
         return any(base(bounds[t], bounds[t + 1]) for t in range(len(bounds) - 1))
 
@@ -445,15 +446,8 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
             yield from (-v for v in _block_between(h, -b, -a))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
-        if lo is not None and hi is not None and lo >= hi:
-            return False
-        if (lo is None or lo < a) and (hi is None or hi > a):
-            return True
-        if (lo is None or lo < b) and (hi is None or hi > b):
-            return True
-        effective_lo = a if lo is None else max(lo, a)
-        effective_hi = b if hi is None else min(hi, b)
-        return effective_lo < effective_hi
+        # With a < b, (lo, hi) meets [a, b] iff its clipped ends stay in order.
+        return (a if lo is None else max(lo, a)) < (b if hi is None else min(hi, b))
 
     return SetSpec(name, stream, Dense(True, True), oracle)
 
@@ -508,7 +502,7 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         descriptor = None
 
     oracle = (
-        _minus_finite_oracle(spec.gap_oracle, sorted(removed))
+        _minus_finite_oracle(spec.gap_oracle, removed)
         if spec.gap_oracle is not None
         else None
     )

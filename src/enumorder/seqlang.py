@@ -36,10 +36,12 @@ it either ends with an unguarded or ``otherwise`` clause, or contains both
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from typing import Iterator
+from itertools import count, repeat
+from math import gcd
+from typing import Callable
 
 from .listings import MAX_POWER_BITS, SetSpec
 from .rational import format_rational, parse_rational
@@ -431,70 +433,110 @@ def _atom_text(e: Expr) -> str:
 
 
 # --- Evaluator ---------------------------------------------------------------
+#
+# A definition compiles once into nested closures, each giving its node's value
+# at (i, n) as a (numerator, denominator) pair reduced as Fraction reduces its
+# own arithmetic: lowest terms, positive denominator, so the power cap reads the
+# reduced base. Left operands go first: when both sides fail, the same error wins.
+# The final Fraction skips the gcd that Fraction(p, q) would repeat, through the
+# constructor fractions keeps private (it differs by version), else the public one.
+try:
+    Fraction(1, 1, _normalize=False)  # Python 3.10 and 3.11
+    _coprime = functools.partial(Fraction, _normalize=False)
+except TypeError:
+    _coprime = getattr(Fraction, "_from_coprime_ints", Fraction)  # Python 3.12+
+
+
+def _add(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    if q == s == 1:  # integers, the common case, skip the gcds
+        return p + r, 1
+    g = gcd(q, s)
+    t = p * (s // g) + r * (q // g)
+    g2 = gcd(t, g)
+    return t // g2, (q // g) * (s // g2)
+
+
+def _mul(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    if q == s == 1:
+        return p * r, 1
+    g1, g2 = gcd(p, s), gcd(r, q)
+    return (p // g1) * (r // g2), (q // g2) * (s // g1)
+
+
+_ARITH = {
+    "+": _add, "-": lambda p, q, r, s: _add(p, q, -r, s), "*": _mul,
+    "/": lambda p, q, r, s: _mul(p, q, s, r) if r > 0 else _mul(p, q, -s, -r),
+}
+
+
+def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
+    if isinstance(e, Lit):
+        pair = (e.value, 1)
+        return lambda i, n: pair
+    if isinstance(e, Var):
+        return (lambda i, n: (n, 1)) if e.name == "n" else (lambda i, n: (i, 1))
+    if isinstance(e, Neg):  # -x is (-1) * x
+        return _compile(BinOp("*", Lit(-1), e.operand))
+    if isinstance(e, Pow):
+        base, k = _compile(e.base), e.exponent
+
+        def power(i: int, n: int) -> tuple[int, int]:
+            p, q = base(i, n)
+            bits = max(p.bit_length(), q.bit_length()) * k
+            if bits > MAX_POWER_BITS:
+                raise EvalPowerTooLarge(i, n, bits)
+            return p**k, q**k
+
+        return power
+    left, right, arith, divides = _compile(e.left), _compile(e.right), _ARITH[e.op], e.op == "/"
+
+    def binop(i: int, n: int) -> tuple[int, int]:
+        p, q = left(i, n)
+        r, s = right(i, n)
+        if divides and r == 0:
+            raise EvalDivisionByZero(i, n)
+        return arith(p, q, r, s)
+
+    return binop
+
+
+def _accepts(guard: Guard | None) -> Callable[[int, int], bool]:
+    if isinstance(guard, ParityGuard):
+        odd = guard.parity == "odd"
+        return lambda i, n: (i % 2 == 1) == odd
+    if isinstance(guard, ThresholdGuard):
+        bound, below = guard.bound, guard.op == "<"
+        return lambda i, n: (n < bound) == below
+    return lambda i, n: True
+
+
+def compile_definition(expr: SequenceExpr) -> Callable[[int, int], Fraction]:
+    """The definition as an exact function of ``(i, n)``; the first accepting clause decides."""
+    clauses = expr.clauses if isinstance(expr, Piecewise) else (Clause(None, expr),)
+    cases = [(_accepts(c.guard), _compile(c.body)) for c in clauses]
+
+    def value(i: int, n: int) -> Fraction:
+        for accepts, body in cases:
+            if accepts(i, n):
+                return _coprime(*body(i, n))
+        raise RuntimeError("piecewise dispatch fell through a total clause list")
+
+    return value
 
 
 def evaluate(expr: SequenceExpr, i: int, n: int) -> Fraction:
     """Exact value at ``(i, n)``; the first matching guard selects the case."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    body = _select(expr, i, n)
-    return _eval(body, i, n)
-
-
-def _select(expr: SequenceExpr, i: int, n: int) -> Expr:
-    if not isinstance(expr, Piecewise):
-        return expr
-    for clause in expr.clauses:
-        if _guard_accepts(clause.guard, i, n):
-            return clause.body
-    raise RuntimeError("piecewise dispatch fell through a total clause list")
-
-
-def _guard_accepts(guard: Guard | None, i: int, n: int) -> bool:
-    if guard is None or isinstance(guard, Otherwise):
-        return True
-    if isinstance(guard, ParityGuard):
-        return (i % 2 == 1) == (guard.parity == "odd")
-    if guard.op == "<":
-        return n < guard.bound
-    return n >= guard.bound
-
-
-def _eval(e: Expr, i: int, n: int) -> Fraction:
-    if isinstance(e, Lit):
-        return Fraction(e.value)
-    if isinstance(e, Var):
-        return Fraction(n if e.name == "n" else i)
-    if isinstance(e, Neg):
-        return -_eval(e.operand, i, n)
-    if isinstance(e, Pow):
-        base = _eval(e.base, i, n)
-        bits = max(base.numerator.bit_length(), base.denominator.bit_length()) * e.exponent
-        if bits > MAX_POWER_BITS:
-            raise EvalPowerTooLarge(i, n, bits)
-        return base**e.exponent
-    left = _eval(e.left, i, n)
-    right = _eval(e.right, i, n)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if right == 0:
-        raise EvalDivisionByZero(i, n)
-    return left / right
+    return compile_definition(expr)(i, n)
 
 
 def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:
-    """Set spec whose natural listing evaluates the definition at
-    ``n = 1, 2, ...`` for the family member ``i``.
+    """Set spec whose natural listing evaluates the definition, compiled once
+    here, at ``n = 1, 2, ...`` for the family member ``i``.
 
     Repeated values are skipped by the listing layer; a definition that stays
     on old values for ``DEDUP_RUN_LIMIT`` steps in a row is cut off there.
     """
-
-    def stream() -> Iterator[Fraction]:
-        return (evaluate(expr, i, n) for n in count(1))
-
-    return SetSpec(name, stream)
+    value = compile_definition(expr)
+    return SetSpec(name, lambda: map(value, repeat(i), count(1)))

@@ -33,7 +33,20 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
-from enumorder.seqlang import parse, seq_spec
+from enumorder.seqlang import (
+    MAX_POWER_BITS,
+    EvalDivisionByZero,
+    EvalPowerTooLarge,
+    Lit,
+    Neg,
+    Otherwise,
+    ParityGuard,
+    Piecewise,
+    Pow,
+    Var,
+    parse,
+    seq_spec,
+)
 
 _FAMILY_TEXT = "case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n"
 
@@ -228,6 +241,19 @@ def rationals_in_interval_filtered(a, b):
     return (v for v in rationals() if a <= v <= b)
 
 
+def minus_finite_oracle_eager(base, removed):
+    """Gap oracle of a set with finitely many points deleted, its points
+    sorted up front: the form the lazily sorting oracle replaced."""
+    points = sorted(set(removed))
+
+    def oracle(lo, hi):
+        inside = [p for p in points if in_gap(p, lo, hi)]
+        bounds = [lo, *inside, hi]
+        return any(base(bounds[t], bounds[t + 1]) for t in range(len(bounds) - 1))
+
+    return oracle
+
+
 ORACLE_SIZE_CAP = 8
 
 
@@ -251,3 +277,57 @@ def brute_force_coorder_oracle(a_values, b_values):
         if len(set(values)) != len(values):
             raise DuplicateValuesError("oracle inputs must be duplicate-free")
     return not all_order_patterns(a_values).isdisjoint(all_order_patterns(b_values))
+
+
+def evaluate_by_walk(expr, i, n):
+    """AST-walking oracle for ``seqlang.evaluate``: a ``Fraction`` at every
+    node, the first matching guard selecting the case."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    body = _select(expr, i, n)
+    return _eval(body, i, n)
+
+
+def _select(expr, i, n):
+    if not isinstance(expr, Piecewise):
+        return expr
+    for clause in expr.clauses:
+        if _guard_accepts(clause.guard, i, n):
+            return clause.body
+    raise RuntimeError("piecewise dispatch fell through a total clause list")
+
+
+def _guard_accepts(guard, i, n):
+    if guard is None or isinstance(guard, Otherwise):
+        return True
+    if isinstance(guard, ParityGuard):
+        return (i % 2 == 1) == (guard.parity == "odd")
+    if guard.op == "<":
+        return n < guard.bound
+    return n >= guard.bound
+
+
+def _eval(e, i, n):
+    if isinstance(e, Lit):
+        return Fraction(e.value)
+    if isinstance(e, Var):
+        return Fraction(n if e.name == "n" else i)
+    if isinstance(e, Neg):
+        return -_eval(e.operand, i, n)
+    if isinstance(e, Pow):
+        base = _eval(e.base, i, n)
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length()) * e.exponent
+        if bits > MAX_POWER_BITS:
+            raise EvalPowerTooLarge(i, n, bits)
+        return base**e.exponent
+    left = _eval(e.left, i, n)
+    right = _eval(e.right, i, n)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if right == 0:
+        raise EvalDivisionByZero(i, n)
+    return left / right

@@ -62,6 +62,28 @@ def test_resolution_messages(tmp_path):
         assert str(failure.value) == message
 
 
+def test_file_paths_may_contain_plus(tmp_path, capsys):
+    (tmp_path / "f+g.seq").write_text("1/n\n", encoding="utf-8")
+    (tmp_path / "m+1").write_text("0\n2\n", encoding="utf-8")
+    path = tmp_path / "f+g.seq"
+    assert run(capsys, "list", f"seq:{path}", "--count", "3") == (0, "1, 1/2, 1/3\n", "")
+    assert run(capsys, "list", f"seq:{path}+shift=1", "--count", "3") == (0, "1/2, 1/3, 1/4\n", "")
+    assert run(capsys, "list", f"seq:{path}:i=2+drop=1+add=7", "--count", "3") == (
+        0, "7, 1/2, 1/3\n", "")
+    spec = resolve_family(f"dyadic:{tmp_path}/m+1+add=3")
+    assert spec.listing().try_prefix(4) == [3, 1, parse_rational("1/4")]
+    # A file path runs on to the first modifier; other bases keep their error.
+    for ref, message in (
+        (f"seq:{path}+bogus",
+         f"segment 'seq:{path}+bogus': [Errno 2] No such file or directory: '{path}+bogus'"),
+        ("harmonic+bogus", "segment 'bogus': unknown modifier"),
+        (f"finite:1,2+{path}", f"segment '{tmp_path}/f': unknown modifier"),
+    ):
+        with pytest.raises(FamilyRefError) as failure:
+            resolve_family(ref)
+        assert str(failure.value) == message
+
+
 def test_resolve_modifiers():
     spec = resolve_family("harmonic+shift=1")
     assert spec.listing().prefix(2) == [parse_rational("1/2"), parse_rational("1/3")]

@@ -22,6 +22,7 @@ from enumorder.listings import (
     builtin_harmonic,
     builtin_thirds,
     finite_listing,
+    in_gap,
     interleave,
     rationals,
     rationals_in_interval,
@@ -31,7 +32,7 @@ from enumorder.listings import (
 )
 from enumorder.ordertype import Fin
 
-from helpers import spec_factories
+from helpers import minus_finite_oracle_eager, spec_factories
 
 
 def F(*args):
@@ -335,6 +336,20 @@ def test_interval_gap_oracle():
     assert oracle(F(1, 2), None)
 
 
+def test_interval_gap_oracle_on_a_grid():
+    # Ends on a grid of quarters: a nonempty meet of (lo, hi) with [a, b],
+    # a < b, is an interval of length >= 1/4 and holds an eighth strictly.
+    grid = [F(k, 4) for k in range(-6, 7)]
+    for a in grid:
+        for b in (v for v in grid if v > a):
+            oracle = rationals_in_interval(a, b).gap_oracle
+            eighths = [F(k, 8) for k in range(int(8 * a), int(8 * b) + 1)]
+            for lo in [None, *grid]:
+                for hi in [None, *grid]:
+                    meets = any(in_gap(v, lo, hi) for v in eighths)
+                    assert oracle(lo, hi) == meets, (a, b, lo, hi)
+
+
 # --- finite listings ----------------------------------------------------------
 
 
@@ -450,3 +465,42 @@ def test_dedup_run_limit_counts_only_consecutive_duplicates():
     assert list(ls) == [F(1), F(2), F(3)]
     assert ls.is_exhausted()
     assert not ls.is_cut_off()
+
+
+# --- gap oracles of finite deletions ------------------------------------------------
+
+
+def test_deletion_oracles_match_eagerly_sorted_ones():
+    bounds = [None, *(F(k, 6) for k in range(-7, 19))]
+    for make_base in (
+        builtin_harmonic,
+        builtin_thirds,
+        lambda: build_T(2),
+        lambda: build_A(3),
+        lambda: rationals_in_interval(F(0), F(1)),
+    ):
+        base = make_base()
+        removed = base.listing().try_prefix(7)
+        for spec, points in (
+            (shift_spec(base, 7), removed),
+            (remove_finite(base, [removed[5], removed[2], F(99)]), [removed[5], removed[2], F(99)]),
+        ):
+            eager = minus_finite_oracle_eager(base.gap_oracle, points)
+            for lo in bounds:
+                for hi in bounds:
+                    assert spec.gap_oracle(lo, hi) == eager(lo, hi), (spec.name, lo, hi)
+
+
+class _Unordered(Fraction):
+    """A rational that refuses to be ordered."""
+
+    def __lt__(self, other):
+        raise AssertionError("compared")
+
+
+def test_shift_sorts_removed_values_only_when_the_oracle_is_asked():
+    base = SetSpec("unordered", lambda: (_Unordered(k) for k in count(1)), None, lambda lo, hi: True)
+    shifted = shift_spec(base, 5)
+    assert shifted.listing().try_prefix(2) == [F(6), F(7)]
+    with pytest.raises(AssertionError, match="compared"):
+        shifted.gap_oracle(None, None)
