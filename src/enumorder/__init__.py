@@ -12,8 +12,8 @@ from .coorder import (
     WitnessPair,
     WitnessReport,
     finite_coorder,
-    first_split,
     match_listing,
+    minimal_witness,
     prefix_coorder,
     search_shift_witnesses,
     witness_projections,

@@ -151,6 +151,9 @@ def _report_json(report: ReproReport) -> str:
 def _svg_scatter(values: list[Fraction], title: str) -> str:
     """Scatter of (index, value) with exact tick labels; pure markup."""
     width, height, margin = 640, 360, 48
+    # Escaped by hand: xml.sax.saxutils and html each add modules and memory
+    # to every start of the tool, for the one markup output.
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -175,7 +178,7 @@ def _svg_scatter(values: list[Fraction], title: str) -> str:
             f'stroke="black"/>'
         )
         parts.append(axis)
-        for label, v in (("min", lo), ("max", hi)):
+        for v in (lo, hi):
             parts.append(
                 f'<text x="4" y="{y_at(v):.2f}" font-size="11">{format_rational(v)}</text>'
             )

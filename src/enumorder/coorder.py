@@ -67,13 +67,13 @@ def _ranks(values: list[Fraction]) -> list[int]:
     return ranks
 
 
-def first_split(
+def minimal_witness(
     h: Listing, g: Listing, m: int, n: int, length: int, *, h_need: int | None = None
-) -> int | None:
-    """Smallest d below ``length`` such that some index pair with larger
-    index d is ordered oppositely by the windows of ``h`` from index m and
-    of ``g`` from index n; None when the two length-``length`` windows are
-    co-ordered.
+) -> WitnessPair | None:
+    """The witness pair with the smallest max(i, j), ties in lexicographic
+    (i, j) order, that the windows of ``h`` from index m and of ``g`` from
+    index n order oppositely, both indices below ``length``; None when the
+    two length-``length`` windows are co-ordered.
 
     When indices 0..d-1 agree, their values sort into the same index order
     in both windows, and the indices below index d form a prefix of that
@@ -82,6 +82,12 @@ def first_split(
     disagreeing pairs. Each window keeps its values seen so far sorted, so
     reaching depth d costs O(d log d) exact comparisons, however long the
     windows are.
+
+    At that depth, the earlier indices that disagree with d are exactly
+    those whose shared sorted position lies between d's two insertion
+    ranks, so they all lie on one side of h(d). The first index i with
+    ``(h_i < h_d) != (g_i < g_d)`` is therefore the minimal witness,
+    reported as (i, d) when h_i < h_d and as (d, i) otherwise.
 
     Each window is read with ``value_at`` as d advances, so only ``h`` up to
     index m + d and ``g`` up to index n + d are drawn. A window that ends
@@ -94,17 +100,22 @@ def first_split(
     seen_h: list[Fraction] = []
     seen_g: list[Fraction] = []
     for d in range(length):
-        h_value = h_at(d + m)
+        h_d = h_at(d + m)
         try:
-            g_value = g_at(d + n)
+            g_d = g_at(d + n)
         except Exception:
             h.prefix(length + m if h_need is None else h_need)
             raise
-        rank = bisect_left(seen_h, h_value)
-        if bisect_left(seen_g, g_value) != rank:
-            return d
-        seen_h.insert(rank, h_value)
-        seen_g.insert(rank, g_value)
+        rank = bisect_left(seen_h, h_d)
+        if bisect_left(seen_g, g_d) != rank:
+            hv, gv = h.prefix(m + d), g.prefix(n + d)
+            i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
+            h_i, g_i = hv[m + i], gv[n + i]
+            if h_i < h_d:
+                return WitnessPair(i, d, h_i, h_d, g_i, g_d)
+            return WitnessPair(d, i, h_d, h_i, g_d, g_i)
+        seen_h.insert(rank, h_d)
+        seen_g.insert(rank, g_d)
     return None
 
 
@@ -113,18 +124,19 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
 
     Agreement holds exactly when the two order patterns are equal. On
     disagreement, the witness is the first violating pair when scanning j
-    upward and, inside each j, i upward over i < j.
+    upward and, inside each j, i upward over i < j: the unshifted minimal
+    witness, put in i < j order.
 
     Only indices up to the first split j are drawn, so a witness is
     reported even from a listing shorter than ``length``; the shortfall
     error is raised only when agreement would need the missing values.
     """
-    j = first_split(h, g, 0, 0, length)
-    if j is None:
+    w = minimal_witness(h, g, 0, 0, length)
+    if w is None:
         return Agree(length)
-    hv, gv = h.prefix(j + 1), g.prefix(j + 1)
-    i = next(i for i in range(j) if (hv[i] < hv[j]) != (gv[i] < gv[j]))
-    return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
+    if w.i > w.j:
+        w = WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
+    return Disagree(w)
 
 
 def witness_projections(
@@ -170,26 +182,6 @@ class WitnessReport:
     def all_witnessed(self) -> bool:
         return all(cell.witness is not None for cell in self.cells)
 
-    def candidates(self) -> list[Cell]:
-        return [cell for cell in self.cells if cell.witness is None]
-
-
-def _minimal_witness(
-    h: Listing, g: Listing, m: int, n: int, length: int, h_need: int
-) -> WitnessPair | None:
-    # Smallest max(i, j) first, ties in lexicographic (i, j) order: every
-    # (i, d) with i < d comes before every (d, j).
-    d = first_split(h, g, m, n, length, h_need=h_need)
-    if d is None:
-        return None
-    hv, gv = h.prefix(d + m + 1)[m:], g.prefix(d + n + 1)[n:]
-    hd, gd = hv[d], gv[d]
-    for i in range(d):
-        if hv[i] < hd and gv[i] > gd:
-            return WitnessPair(i, d, hv[i], hd, gv[i], gd)
-    j = next(j for j in range(d) if hd < hv[j] and gd > gv[j])
-    return WitnessPair(d, j, hd, hv[j], gd, gv[j])
-
 
 def search_shift_witnesses(
     h: Listing, g: Listing, m_max: int, n_max: int, length: int
@@ -207,7 +199,7 @@ def search_shift_witnesses(
     cells = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            witness = _minimal_witness(h, g, m, n, length, length + m_max)
+            witness = minimal_witness(h, g, m, n, length, h_need=length + m_max)
             cells.append(Cell(m, n, witness))
     return WitnessReport(m_max, n_max, length, tuple(cells))
 

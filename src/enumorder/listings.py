@@ -217,20 +217,29 @@ def _finite_oracle(values: Sequence[Fraction]) -> GapOracle:
     return oracle
 
 
-def _union_oracle(oracles: Sequence[GapOracle]) -> GapOracle:
+def _union_oracle(oracles: Sequence[GapOracle | None]) -> GapOracle | None:
+    """Oracle for a union; None (unknown) when any part's oracle is."""
+    if any(o is None for o in oracles):
+        return None
+
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         return any(o(lo, hi) for o in oracles)
 
     return oracle
 
 
-def _minus_finite_oracle(base: GapOracle, removed: Sequence[Fraction]) -> GapOracle:
-    """Oracle for the base set with finitely many points deleted.
+def _minus_finite_oracle(
+    base: GapOracle | None, removed: Sequence[Fraction]
+) -> GapOracle | None:
+    """Oracle for the base set with finitely many points deleted; None
+    (unknown) when the base has none.
 
     Splitting the queried interval at the deleted points reduces the question
     to base-oracle queries on open subintervals, which exclude the points
     themselves. The points are sorted on the first query; most commands ask none.
     """
+    if base is None:
+        return None
     points = functools.cache(lambda: sorted(set(removed)))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
@@ -340,8 +349,7 @@ def interleave(specs: Sequence[SetSpec]) -> SetSpec:
                     yield value
             walks = live
 
-    oracles = [s.gap_oracle for s in specs]
-    oracle = _union_oracle(oracles) if all(o is not None for o in oracles) else None
+    oracle = _union_oracle([s.gap_oracle for s in specs])
     name = "interleave(" + ",".join(s.name for s in specs) + ")"
     return SetSpec(name, stream, None, oracle)
 
@@ -501,11 +509,7 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     else:
         descriptor = None
 
-    oracle = (
-        _minus_finite_oracle(spec.gap_oracle, removed)
-        if spec.gap_oracle is not None
-        else None
-    )
+    oracle = _minus_finite_oracle(spec.gap_oracle, removed)
     name = f"{spec.name}+drop=" + ";".join(format_rational(v) for v in sorted(removed))
     return SetSpec(name, stream, descriptor, oracle)
 
@@ -537,11 +541,7 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         descriptor = Fin(spec.descriptor.size + len(added))
     else:
         descriptor = None
-    oracle = (
-        _union_oracle([spec.gap_oracle, _finite_oracle(added)])
-        if spec.gap_oracle is not None
-        else None
-    )
+    oracle = _union_oracle([spec.gap_oracle, _finite_oracle(added)])
     name = f"{spec.name}+add=" + ";".join(format_rational(v) for v in added)
     return SetSpec(name, stream, descriptor, oracle)
 
@@ -562,9 +562,5 @@ def shift_spec(spec: SetSpec, m: int) -> SetSpec:
     def stream() -> Iterator[Fraction]:
         return islice(spec.listing(), m, None)
 
-    oracle = (
-        _minus_finite_oracle(spec.gap_oracle, removed)
-        if spec.gap_oracle is not None
-        else None
-    )
+    oracle = _minus_finite_oracle(spec.gap_oracle, removed)
     return SetSpec(f"{spec.name}+shift={m}", stream, None, oracle)

@@ -1,6 +1,7 @@
 """Command-line interface: resolution, commands, exit codes, output forms."""
 
 import json
+from xml.dom import minidom
 
 import pytest
 
@@ -232,6 +233,15 @@ def test_list_svg(capsys):
     assert code == 0
     assert out.startswith("<svg")
     assert out.count("<circle") == 6
+
+
+def test_list_svg_escapes_the_family_name(tmp_path, capsys):
+    (tmp_path / "a&b<c>.seq").write_text("1/n\n", encoding="utf-8")
+    name = f"seq:{tmp_path}/a&b<c>.seq"
+    code, out, err = run(capsys, "list", name, "--count", "3", "--format", "svg")
+    assert code == 0
+    title = minidom.parseString(out).getElementsByTagName("title")[0]
+    assert title.firstChild.data == f"{name}:i=1"
 
 
 def test_list_resolution_failure(capsys):

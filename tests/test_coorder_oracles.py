@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from enumorder.coorder import (
     Disagree,
     WitnessPair,
-    first_split,
+    minimal_witness,
     prefix_coorder,
     search_shift_witnesses,
     witness_projections,
@@ -93,10 +93,6 @@ def outcome(fn, *args):
         return Exhausted(str(exc))
 
 
-def split_depth(witness):
-    return None if witness is None else max(witness.i, witness.j)
-
-
 @oracle_settings
 @given(specs, specs, lengths)
 def test_check_matches_pairwise_scan(a, b, length):
@@ -130,11 +126,9 @@ def test_every_search_cell_matches_the_oracle(a, b, m_max, n_max, length):
 
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
-def test_first_split_is_the_minimal_witness_depth(a, b, m, n, length):
+def test_minimal_witness_matches_the_exhaustive_scan(a, b, m, n, length):
     expected = outcome(minimal_witness_scan, *listings(a, b), m, n, length)
-    if not isinstance(expected, Exhausted):
-        expected = split_depth(expected)
-    assert outcome(first_split, *listings(a, b), m, n, length) == expected
+    assert outcome(minimal_witness, *listings(a, b), m, n, length) == expected
 
 
 @oracle_settings
@@ -182,6 +176,12 @@ SHORTFALL_CASES = [
 ]
 
 
+def in_index_order(w):
+    if w.i < w.j:
+        return w
+    return WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
+
+
 @pytest.mark.parametrize("make, expected", SHORTFALL_CASES, ids=range(len(SHORTFALL_CASES)))
 def test_shortfall_rule_cases(make, expected):
     assert outcome(prefix_coorder, *make(), 5) == expected
@@ -190,7 +190,7 @@ def test_shortfall_rule_cases(make, expected):
     if isinstance(expected, Exhausted):
         assert cells == expected
     else:
-        assert split_depth(cells.cells[0].witness) == expected.witness.j
+        assert in_index_order(cells.cells[0].witness) == expected.witness
 
 
 def test_search_shortfall_names_h_as_its_largest_shift_would():

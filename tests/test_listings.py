@@ -31,6 +31,7 @@ from enumorder.listings import (
     shift_spec,
 )
 from enumorder.ordertype import Fin
+from enumorder.seqlang import parse, seq_spec
 
 from helpers import minus_finite_oracle_eager, spec_factories
 
@@ -410,6 +411,21 @@ def test_gap_oracles_agree_with_enumeration():
                 assert spec.gap_oracle(lo, hi), (spec.name, lo, hi)
             if not spec.gap_oracle(lo, hi):
                 assert not inside, (spec.name, lo, hi)
+
+
+def test_gap_oracle_unknown_through_every_combinator():
+    # A .seq set has no gap oracle; shifting, deleting, adding or joining
+    # it must keep that unknown, while the same edits of harmonic keep one.
+    edits = (
+        lambda s: shift_spec(s, 2),
+        lambda s: remove_finite(s, [F(1, 2)]),
+        lambda s: add_finite(s, [F(5)]),
+        lambda s: interleave([s, builtin_thirds()]),
+        lambda s: interleave([builtin_thirds(), s]),
+    )
+    for edit in edits:
+        assert edit(seq_spec(parse("1/n"), 0, "seq")).gap_oracle is None
+        assert edit(builtin_harmonic()).gap_oracle is not None
 
 
 def test_dedup_run_limit_finishes_constant_streams():
