@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import experiments
@@ -144,8 +145,45 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what reports hold:
+    dicts with str keys, lists, str, int, finite float, bool and None.
+
+    CPython serves ``json.dumps`` with an ``indent`` from its pure-Python
+    encoder; this writer calls the same C string escaper directly. ``indent``
+    is the line break and indentation of the line the value starts on, where
+    a container's closing bracket goes.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(value[k], inner) for k in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"not a report value: {type(value).__name__}")
+
+
 def _report_json(report: ReproReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return _json_text(report.to_json_dict())
 
 
 def _svg_scatter(values: list[Fraction], title: str) -> str:

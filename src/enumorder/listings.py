@@ -77,7 +77,9 @@ class Listing:
     def __init__(self, stream: Iterator[Fraction]):
         self._stream = stream
         self._memo: list[Fraction] = []
-        self._seen: set[Fraction] = set()
+        # Keyed by (numerator, denominator): equal Fractions share their
+        # lowest terms, and a tuple hashes without Fraction's modular inverse.
+        self._seen: set[tuple[int, int]] = set()
         self._ended = False
         self._cut_off = False
 
@@ -137,12 +139,13 @@ class Listing:
             except ListingCutOff:
                 self._cut_off = True
                 break
-            if value in self._seen:
+            key = (value.numerator, value.denominator)
+            if key in self._seen:
                 run += 1
                 self._cut_off = run >= DEDUP_RUN_LIMIT
                 continue
             run = 0
-            self._seen.add(value)
+            self._seen.add(key)
             self._memo.append(value)
 
 
@@ -527,8 +530,8 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         raise DuplicateValuesError("added values must be pairwise distinct")
     if not added:
         return spec
-    scanned = set(spec.listing().try_prefix(EDIT_SCAN_PREFIX))
-    clash = [v for v in added if v in scanned]
+    scanned = {(v.numerator, v.denominator) for v in spec.listing().try_prefix(EDIT_SCAN_PREFIX)}
+    clash = [v for v in added if (v.numerator, v.denominator) in scanned]
     if clash:
         shown = ", ".join(format_rational(v) for v in clash)
         raise ValueError(f"values already present in the set: {shown}")

@@ -217,6 +217,12 @@ def test_remove_finite_keeps_the_cut_off():
     assert ls.is_cut_off()
 
 
+def test_dedup_compares_values_not_their_forms():
+    ls = SetSpec("forms", lambda: iter([F(1, 2), 1, F(1), F(2, 4)])).listing()
+    assert ls.try_prefix(4) == [F(1, 2), F(1)]
+    assert ls.is_exhausted()
+
+
 def test_add_finite_prepends_sorted():
     spec = add_finite(builtin_thirds(), [F(-5)])
     assert spec.listing().prefix(3) == [F(-5), F(0), F(1, 3)]
