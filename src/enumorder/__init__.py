@@ -30,10 +30,8 @@ from .listings import (
     builtin_thirds,
     finite_listing,
     interleave,
-    rationals,
     rationals_in_interval,
     remove_finite,
-    shift,
     shift_spec,
 )
 from .ordertype import (
@@ -46,11 +44,10 @@ from .ordertype import (
     Fin,
     Refuted,
     block_signature,
-    isomorphic,
     normalize,
     refute_type2,
 )
 from .rational import format_rational, parse_rational
-from .seqlang import SequenceExpr, evaluate, parse, seq_spec, to_text
+from .seqlang import SequenceExpr, parse, seq_spec
 
 __version__ = "0.1.0"

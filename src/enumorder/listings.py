@@ -120,10 +120,6 @@ class Listing:
         self._fill(n)
         return self._memo[:n]
 
-    def is_exhausted(self) -> bool:
-        """True once the underlying stream is known to have ended."""
-        return self._ended
-
     def is_cut_off(self) -> bool:
         """True once a duplicate run stopped the draw, here or in a walked listing."""
         return self._cut_off
@@ -165,13 +161,6 @@ class SetSpec:
 
     def listing(self) -> Listing:
         return Listing(self.make_stream())
-
-
-def shift(h: Listing, m: int) -> Listing:
-    """Listing whose index ``i`` reads index ``i + m`` of the input."""
-    if m < 0:
-        raise ValueError(f"shift must be nonnegative, got {m}")
-    return Listing(islice(h, m, None))
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +372,9 @@ def build_A(i: int) -> SetSpec:
 ZERO_HEIGHT = 128
 
 
-def _height_block(h: int) -> list[Fraction]:
-    """Positive rationals of height ``h``, by denominator then numerator."""
-    out = []
-    for q in range(1, h + 1):
-        if q < h:
-            if math.gcd(h, q) == 1:
-                out.append(Fraction(h, q))
-        else:
-            out.extend(Fraction(p, h) for p in range(1, h + 1) if math.gcd(p, h) == 1)
-    return out
-
-
 def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    """The values of ``_height_block(h)`` inside [lo, hi], in block order.
+    """The positive rationals of height ``h`` inside [lo, hi], by
+    denominator then numerator.
 
     Each part of the block is monotone in its running index, so the
     in-range part is an index range: h/q for q from ceil(h/hi) to
@@ -417,28 +395,15 @@ def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
             yield Fraction(p, h)
 
 
-def rationals() -> Iterator[Fraction]:
-    """Every rational exactly once, by increasing height.
-
-    Within a height block: positives, then their negations. A complete,
-    injective, deterministic enumeration; the height of a value bounds the
-    number of steps before it appears.
-    """
-    for h in count(1):
-        if h == ZERO_HEIGHT:
-            yield Fraction(0)
-        block = _height_block(h)
-        yield from block
-        yield from (-v for v in block)
-
-
 def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
     """All rationals in the closed interval [a, b], in canonical order.
 
-    Each height block contributes its in-range positives, then the
-    negations of its positives inside [-b, -a], with zero at
-    ``ZERO_HEIGHT`` when a <= 0 <= b: the subsequence of :func:`rationals`
-    inside [a, b], generated without visiting the values outside it.
+    The canonical order lists every rational once, by increasing height.
+    The block of height ``h`` holds the positive rationals of that height,
+    by denominator then numerator, then their negations in the same order;
+    zero heads the block of height ``ZERO_HEIGHT``. The interval's listing
+    is the subsequence inside [a, b], generated without visiting the values
+    outside it.
     """
     if a > b:
         raise ValueError(

@@ -2,33 +2,26 @@
 
 The algebra is deliberately small: finite blocks, an ascending infinite block
 (``W``), a descending infinite block (``W*``), dense interval blocks, and
-finite concatenations of blocks. Within this algebra distinct normal forms
-denote non-isomorphic linear orders, which is what makes structural equality
-of normalized descriptors a sound refutation route for co-order claims: two
-listings that agree on every index pair induce an order isomorphism between
-the underlying sets.
+finite concatenations of blocks. Normal forms are not claimed to be unique up
+to isomorphism: ``FIN(1) + W`` and ``W`` are distinct normal forms of
+isomorphic orders, so a mismatch of normal forms refutes nothing.
 
-Block signatures (the ascending/descending pattern of all-infinite
-concatenations) are additionally invariant under finite edits of the set, so
-a signature mismatch refutes even co-order up to finite differences. Dense
-blocks are excluded from that route: deleting finitely many points can move a
-dense block's endpoints, so their interaction with finite edits is not
-settled here.
+Only block signatures decide a verdict. The ascending/descending pattern of an
+all-infinite concatenation is invariant under finite edits of the set, so a
+signature mismatch refutes even co-order up to finite differences
+(:func:`refute_type2`). Dense blocks are excluded from that route: deleting
+finitely many points can move a dense block's endpoints, so their interaction
+with finite edits is not settled here.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
 
 class UnsupportedDescriptorError(ValueError):
     """The descriptor lies outside the shape a routine supports."""
-
-
-class DescriptorParseError(ValueError):
-    """Text is not a descriptor literal."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,6 @@ def normalize(d: Descriptor) -> Descriptor:
     if len(flat) == 1:
         return flat[0]
     return Concat(tuple(flat))
-
-
-def isomorphic(d1: Descriptor, d2: Descriptor) -> bool:
-    """Structural equality after normalization."""
-    return normalize(d1) == normalize(d2)
 
 
 class Direction(Enum):
@@ -158,30 +146,3 @@ def format_descriptor(d: Descriptor) -> str:
     if isinstance(d, Dense):
         return "Q" + ("[" if d.left_closed else "(") + ("]" if d.right_closed else ")")
     return " + ".join(format_descriptor(b) for b in d.blocks)
-
-
-_FIN_RE = re.compile(r"^FIN\((\d+)\)$")
-_DENSE_RE = re.compile(r"^Q([\[(])([\])])$")
-
-
-def parse_descriptor(text: str) -> Descriptor:
-    """Inverse of :func:`format_descriptor` on canonical text."""
-    parts = [part.strip() for part in text.split("+")]
-    blocks = [_parse_block(part) for part in parts]
-    if len(blocks) == 1:
-        return blocks[0]
-    return Concat(tuple(blocks))
-
-
-def _parse_block(text: str) -> Descriptor:
-    if text == "W":
-        return OMEGA
-    if text == "W*":
-        return OMEGA_STAR
-    match = _FIN_RE.match(text)
-    if match:
-        return Fin(int(match.group(1)))
-    match = _DENSE_RE.match(text)
-    if match:
-        return Dense(match.group(1) == "[", match.group(2) == "]")
-    raise DescriptorParseError(f"not a descriptor block: {text!r}")

@@ -44,7 +44,7 @@ from math import gcd
 from typing import Callable
 
 from .listings import MAX_POWER_BITS, SetSpec
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 # Largest exponent, and largest degree in n, that a power may have.
 MAX_DEGREE = 100_000
@@ -378,60 +378,6 @@ def parse(text: str) -> SequenceExpr:
     return _Parser(_tokenize(text)).parse_file()
 
 
-# --- Printer -----------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_text(expr: SequenceExpr) -> str:
-    """Render to source text; reparsing yields a structurally identical AST."""
-    if isinstance(expr, Piecewise):
-        return " ; ".join(_clause_text(c) for c in expr.clauses)
-    return _expr_text(expr)
-
-
-def _clause_text(clause: Clause) -> str:
-    if clause.guard is None:
-        return _expr_text(clause.body)
-    guard = clause.guard
-    if isinstance(guard, Otherwise):
-        head = "case otherwise"
-    elif isinstance(guard, ParityGuard):
-        head = f"case i {guard.parity}"
-    else:
-        head = f"case n {guard.op} {format_rational(Fraction(guard.bound))}"
-    return f"{head}: {_expr_text(clause.body)}"
-
-
-def _expr_text(e: Expr) -> str:
-    if isinstance(e, Lit):
-        return format_rational(Fraction(e.value))
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Pow):
-        return f"{_atom_text(e.base)}^{e.exponent}"
-    if isinstance(e, Neg):
-        child = e.operand
-        if isinstance(child, (Lit, Var, Pow)):
-            return f"-{_expr_text(child)}"
-        return f"-({_expr_text(child)})"
-    level = _PRECEDENCE[e.op]
-    left = _expr_text(e.left)
-    if isinstance(e.left, BinOp) and _PRECEDENCE[e.left.op] < level:
-        left = f"({left})"
-    right = _expr_text(e.right)
-    # Left associativity: an equal-precedence right child needs parentheses.
-    if isinstance(e.right, BinOp) and _PRECEDENCE[e.right.op] <= level:
-        right = f"({right})"
-    return f"{left} {e.op} {right}"
-
-
-def _atom_text(e: Expr) -> str:
-    if isinstance(e, (Lit, Var)):
-        return _expr_text(e)
-    return f"({_expr_text(e)})"
-
-
 # --- Evaluator ---------------------------------------------------------------
 #
 # A definition compiles once into nested closures, each giving its node's value
@@ -522,13 +468,6 @@ def compile_definition(expr: SequenceExpr) -> Callable[[int, int], Fraction]:
         raise RuntimeError("piecewise dispatch fell through a total clause list")
 
     return value
-
-
-def evaluate(expr: SequenceExpr, i: int, n: int) -> Fraction:
-    """Exact value at ``(i, n)``; the first matching guard selects the case."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return compile_definition(expr)(i, n)
 
 
 def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:

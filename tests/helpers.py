@@ -3,10 +3,11 @@ brute-force oracles the fast paths are checked against."""
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, islice, permutations
 
 from enumorder.coorder import (
     Agree,
@@ -17,7 +18,9 @@ from enumorder.coorder import (
     WitnessPair,
 )
 from enumorder.listings import (
+    ZERO_HEIGHT,
     DuplicateValuesError,
+    Listing,
     SetSpec,
     add_finite,
     build_A,
@@ -28,13 +31,14 @@ from enumorder.listings import (
     finite_listing,
     in_gap,
     interleave,
-    rationals,
     rationals_in_interval,
     remove_finite,
     shift_spec,
 )
+from enumorder.rational import format_rational
 from enumorder.seqlang import (
     MAX_POWER_BITS,
+    BinOp,
     EvalDivisionByZero,
     EvalPowerTooLarge,
     Lit,
@@ -199,7 +203,8 @@ def match_listing_eager(h, target, prefix_len, fuel):
     hv = h.try_prefix(prefix_len)
     target_listing = target.listing()
     pool = target_listing.try_prefix(fuel)
-    exhausted = target_listing.is_exhausted()
+    # A short draw means the listing ended or was cut off.
+    exhausted = len(pool) < fuel and not target_listing.is_cut_off()
     used = [False] * len(pool)
     chosen = []
     picks = []
@@ -233,6 +238,38 @@ def match_listing_eager(h, target, prefix_len, fuel):
         chosen.append(pool[pick])
         picks.append(pick)
     return MatchSuccess(tuple(chosen), tuple(picks), len(pool))
+
+
+def shift(h, m):
+    """Listing whose index ``i`` reads index ``i + m`` of ``h``."""
+    return Listing(islice(h, m, None))
+
+
+def _height_block(h):
+    """Positive rationals of height ``h``, by denominator then numerator."""
+    out = []
+    for q in range(1, h + 1):
+        if q < h:
+            if math.gcd(h, q) == 1:
+                out.append(Fraction(h, q))
+        else:
+            out.extend(Fraction(p, h) for p in range(1, h + 1) if math.gcd(p, h) == 1)
+    return out
+
+
+def rationals():
+    """Every rational exactly once, by increasing height: the canonical
+    enumeration that interval listings restrict.
+
+    Within a height block: positives, then their negations; zero heads the
+    block of height ``ZERO_HEIGHT``.
+    """
+    for h in count(1):
+        if h == ZERO_HEIGHT:
+            yield Fraction(0)
+        block = _height_block(h)
+        yield from block
+        yield from (-v for v in block)
 
 
 def rationals_in_interval_filtered(a, b):
@@ -280,10 +317,8 @@ def brute_force_coorder_oracle(a_values, b_values):
 
 
 def evaluate_by_walk(expr, i, n):
-    """AST-walking oracle for ``seqlang.evaluate``: a ``Fraction`` at every
-    node, the first matching guard selecting the case."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """AST-walking oracle for ``seqlang.compile_definition``: a ``Fraction``
+    at every node, the first matching guard selecting the case."""
     body = _select(expr, i, n)
     return _eval(body, i, n)
 
@@ -331,3 +366,56 @@ def _eval(e, i, n):
     if right == 0:
         raise EvalDivisionByZero(i, n)
     return left / right
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def to_text(expr):
+    """Printer oracle of the ``.seq`` parser: renders a definition to source
+    text, and reparsing the text yields a structurally identical AST."""
+    if isinstance(expr, Piecewise):
+        return " ; ".join(_clause_text(c) for c in expr.clauses)
+    return _expr_text(expr)
+
+
+def _clause_text(clause):
+    if clause.guard is None:
+        return _expr_text(clause.body)
+    guard = clause.guard
+    if isinstance(guard, Otherwise):
+        head = "case otherwise"
+    elif isinstance(guard, ParityGuard):
+        head = f"case i {guard.parity}"
+    else:
+        head = f"case n {guard.op} {format_rational(Fraction(guard.bound))}"
+    return f"{head}: {_expr_text(clause.body)}"
+
+
+def _expr_text(e):
+    if isinstance(e, Lit):
+        return format_rational(Fraction(e.value))
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Pow):
+        return f"{_atom_text(e.base)}^{e.exponent}"
+    if isinstance(e, Neg):
+        child = e.operand
+        if isinstance(child, (Lit, Var, Pow)):
+            return f"-{_expr_text(child)}"
+        return f"-({_expr_text(child)})"
+    level = _PRECEDENCE[e.op]
+    left = _expr_text(e.left)
+    if isinstance(e.left, BinOp) and _PRECEDENCE[e.left.op] < level:
+        left = f"({left})"
+    right = _expr_text(e.right)
+    # Left associativity: an equal-precedence right child needs parentheses.
+    if isinstance(e.right, BinOp) and _PRECEDENCE[e.right.op] <= level:
+        right = f"({right})"
+    return f"{left} {e.op} {right}"
+
+
+def _atom_text(e):
+    if isinstance(e, (Lit, Var)):
+        return _expr_text(e)
+    return f"({_expr_text(e)})"

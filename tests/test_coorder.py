@@ -28,7 +28,6 @@ from enumorder.listings import (
     builtin_thirds,
     finite_listing,
     rationals_in_interval,
-    shift,
 )
 
 from helpers import (
@@ -40,6 +39,7 @@ from helpers import (
     project_first,
     project_second,
     random_spec,
+    shift,
     witness_pairs,
 )
 

@@ -3,6 +3,10 @@
 No module may reach an underscore name of another module: neither
 ``from .x import _y`` nor ``x._y`` on an imported sibling module. What one
 module needs from another is public there.
+
+Every name the package exports is used: some other module of the package
+refers to it, or README's "Library use" block imports it. Code that only
+tests call lives with the tests.
 """
 
 import ast
@@ -11,6 +15,7 @@ from pathlib import Path
 import enumorder
 
 PACKAGE = Path(enumorder.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _private(name: str) -> bool:
@@ -63,3 +68,41 @@ def test_rule_catches_both_forms(tmp_path):
         "b.py:2: imports _hidden",
         "b.py:6: a._hidden",
     ]
+
+
+def library_use_imports(readme: str) -> set[str]:
+    """Names imported by the first Python block of README's "Library use"."""
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def unused_exports(package: Path, readme: str) -> list[str]:
+    """Names ``__init__.py`` imports that no other module of the package
+    refers to and README's "Library use" block does not import."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = library_use_imports(readme)
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(name for name in exported if name not in used)
+
+
+def test_every_export_is_used_in_the_package_or_shown_in_readme():
+    assert unused_exports(PACKAGE, README.read_text(encoding="utf-8")) == []

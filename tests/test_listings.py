@@ -24,16 +24,14 @@ from enumorder.listings import (
     finite_listing,
     in_gap,
     interleave,
-    rationals,
     rationals_in_interval,
     remove_finite,
-    shift,
     shift_spec,
 )
 from enumorder.ordertype import Fin
 from enumorder.seqlang import parse, seq_spec
 
-from helpers import minus_finite_oracle_eager, spec_factories
+from helpers import minus_finite_oracle_eager, rationals, shift, spec_factories
 
 
 def F(*args):
@@ -153,23 +151,6 @@ def test_union_family_value_set_is_union_of_blocks():
 # --- transforms ----------------------------------------------------------------
 
 
-def test_shift_identity():
-    h = builtin_harmonic().listing()
-    shifted = shift(builtin_harmonic().listing(), 0)
-    assert shifted.prefix(20) == h.prefix(20)
-
-
-def test_shift_composes_additively():
-    base = builtin_thirds().listing()
-    double = shift(shift(builtin_thirds().listing(), 2), 3)
-    for k in range(15):
-        assert double.value_at(k) == base.value_at(k + 5)
-
-
-def test_shift_harmonic():
-    assert shift(builtin_harmonic().listing(), 1).prefix(2) == [F(1, 2), F(1, 3)]
-
-
 def test_dyadic_refuses_powers_over_the_bit_cap():
     # 2**m has m + 1 bits.
     indices = finite_listing([F(MAX_POWER_BITS - 1), F(MAX_POWER_BITS)]).listing()
@@ -177,11 +158,6 @@ def test_dyadic_refuses_powers_over_the_bit_cap():
     assert ls.value_at(0) == F(1, 2 ** (MAX_POWER_BITS - 1))
     with pytest.raises(ValueError, match=f"exceeds the {MAX_POWER_BITS}-bit cap"):
         ls.value_at(1)
-
-
-def test_shift_rejects_negative():
-    with pytest.raises(ValueError):
-        shift(builtin_harmonic().listing(), -1)
 
 
 def test_remove_finite_empty_is_identity():
@@ -220,7 +196,8 @@ def test_remove_finite_keeps_the_cut_off():
 def test_dedup_compares_values_not_their_forms():
     ls = SetSpec("forms", lambda: iter([F(1, 2), 1, F(1), F(2, 4)])).listing()
     assert ls.try_prefix(4) == [F(1, 2), F(1)]
-    assert ls.is_exhausted()
+    with pytest.raises(ListingExhausted, match="ended after 2 values"):
+        ls.value_at(2)
 
 
 def test_add_finite_prepends_sorted():
@@ -445,8 +422,8 @@ def test_dedup_run_limit_finishes_constant_streams():
         ls.value_at(1)
     assert failure.value.length == 1
     # Cut off by the duplicate limit, which is not an end of the stream.
+    assert str(failure.value) == "listing cut off after 1 values"
     assert ls.is_cut_off()
-    assert not ls.is_exhausted()
 
 
 def test_cut_off_carries_through_derived_listings():
@@ -465,8 +442,9 @@ def test_cut_off_carries_through_derived_listings():
         interleave([spec, finite_listing([F(-1), F(-2), F(-3)])]).listing(),
     ]
     for ls in derived:
-        ls.try_prefix(10)
-        assert ls.is_cut_off() and not ls.is_exhausted()
+        with pytest.raises(ListingExhausted, match="cut off"):
+            ls.prefix(10)
+        assert ls.is_cut_off()
     # The union stops where its first input was cut off.
     assert derived[2].try_prefix(10) == [F(0), F(-1)]
 
@@ -474,7 +452,8 @@ def test_cut_off_carries_through_derived_listings():
 def test_real_end_is_not_a_cut_off():
     ls = finite_listing([F(1), F(1, 2)]).listing()
     assert ls.try_prefix(5) == [F(1), F(1, 2)]
-    assert ls.is_exhausted()
+    with pytest.raises(ListingExhausted, match="ended after 2 values"):
+        ls.prefix(5)
     assert not ls.is_cut_off()
 
 
@@ -485,7 +464,8 @@ def test_dedup_run_limit_counts_only_consecutive_duplicates():
 
     ls = Listing(stream())
     assert list(ls) == [F(1), F(2), F(3)]
-    assert ls.is_exhausted()
+    with pytest.raises(ListingExhausted, match="ended after 3 values"):
+        ls.value_at(3)
     assert not ls.is_cut_off()
 
 

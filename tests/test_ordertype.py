@@ -1,4 +1,4 @@
-"""Descriptor algebra: normalization, isomorphism, signatures, refutation."""
+"""Descriptor algebra: normalization, signatures, refutation."""
 
 import random
 from fractions import Fraction
@@ -24,9 +24,7 @@ from enumorder.ordertype import (
     UnsupportedDescriptorError,
     block_signature,
     format_descriptor,
-    isomorphic,
     normalize,
-    parse_descriptor,
     refute_type2,
 )
 
@@ -70,14 +68,6 @@ def test_normalize_idempotent():
         d = _random_descriptor(rng, 3)
         once = normalize(d)
         assert normalize(once) == once
-        assert isomorphic(d, once)
-
-
-def test_isomorphic_examples():
-    assert not isomorphic(OMEGA, OMEGA_STAR)
-    assert not isomorphic(Concat((OMEGA, OMEGA_STAR)), OMEGA)
-    d = Concat((Fin(1), OMEGA))
-    assert isomorphic(d, d)
 
 
 def test_block_signature_examples():
@@ -116,20 +106,6 @@ def test_dense_shape_is_out_of_signature_scope():
 def test_refuted_pairs_from_fixtures():
     assert isinstance(refute_type2(builtin_harmonic(), builtin_thirds()), Refuted)
     assert isinstance(refute_type2(build_A(1), build_A(2)), Refuted)
-
-
-def test_descriptor_text_round_trip():
-    samples = [
-        Fin(3),
-        OMEGA,
-        OMEGA_STAR,
-        Dense(True, True),
-        Dense(False, True),
-        Concat((OMEGA, OMEGA_STAR, OMEGA)),
-        Concat((Fin(2), Dense(True, False))),
-    ]
-    for d in samples:
-        assert parse_descriptor(format_descriptor(d)) == d
 
 
 def test_descriptor_text_examples():

@@ -24,11 +24,12 @@ from enumorder.seqlang import (
     SeqSyntaxError,
     ThresholdGuard,
     Var,
-    evaluate,
+    compile_definition,
     parse,
     seq_spec,
-    to_text,
 )
+
+from helpers import to_text
 
 FAMILY_TEXT = "case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n"
 
@@ -120,8 +121,8 @@ def subtraction_chain(depth: int) -> str:
 
 def test_nesting_depth_cap_for_both_shapes():
     # depth parentheses around n, and depth left-nested subtractions.
-    assert evaluate(parse(nested_parentheses(MAX_DEPTH)), 1, 7) == 7
-    assert evaluate(parse(subtraction_chain(MAX_DEPTH)), 1, 7) == 7 - 7 * MAX_DEPTH
+    assert compile_definition(parse(nested_parentheses(MAX_DEPTH)))(1, 7) == 7
+    assert compile_definition(parse(subtraction_chain(MAX_DEPTH)))(1, 7) == 7 - 7 * MAX_DEPTH
     # One level more is refused at the parenthesis or operator that opens it.
     with pytest.raises(SeqSyntaxError) as failure:
         parse(nested_parentheses(MAX_DEPTH + 1))
@@ -149,19 +150,19 @@ def test_oversized_power_is_refused_before_it_is_computed():
     literal = "1" + "0" * 3999
     expr = parse(f"{literal}^{MAX_DEGREE}")
     with pytest.raises(EvalPowerTooLarge) as failure:
-        evaluate(expr, 1, 1)
+        compile_definition(expr)(1, 1)
     assert (failure.value.i, failure.value.n) == (1, 1)
     expr = parse(f"i^{MAX_DEGREE}")
     with pytest.raises(EvalPowerTooLarge) as failure:
-        evaluate(expr, 10**4000, 3)
+        compile_definition(expr)(10**4000, 3)
     assert (failure.value.i, failure.value.n) == (10**4000, 3)
     # The cap is on k * bits(base): a 4,000-bit base to the 1,000th is at
     # MAX_POWER_BITS and is computed, one more bit is refused.
-    expr = parse("(1/(n+1))^1000")
+    value = compile_definition(parse("(1/(n+1))^1000"))
     assert MAX_POWER_BITS == 4000 * 1000
-    assert evaluate(expr, 0, 2**3999 - 1) == Fraction(1, 2**3_999_000)
+    assert value(0, 2**3999 - 1) == Fraction(1, 2**3_999_000)
     with pytest.raises(EvalPowerTooLarge):
-        evaluate(expr, 0, 2**4000 - 1)
+        value(0, 2**4000 - 1)
 
 
 def test_literals_beyond_the_interpreter_digit_limit():
@@ -171,7 +172,7 @@ def test_literals_beyond_the_interpreter_digit_limit():
     assert parse(to_text(expr)) == expr
     guarded = parse(f"case n < {literal}: n ; case otherwise: 0")
     assert parse(to_text(guarded)) == guarded
-    assert evaluate(guarded, 1, 5) == 5
+    assert compile_definition(guarded)(1, 5) == 5
 
 
 def test_parse_precedence_table():
@@ -191,14 +192,15 @@ def test_parse_threshold_guard_dispatch():
     expr = parse("case n < 3: n ; case otherwise: 0")
     assert isinstance(expr, Piecewise)
     assert expr.clauses[0].guard == ThresholdGuard("<", 3)
-    assert evaluate(expr, 0, 2) == F(2)
-    assert evaluate(expr, 0, 3) == F(0)
+    value = compile_definition(expr)
+    assert value(0, 2) == F(2)
+    assert value(0, 3) == F(0)
 
 
 def test_parse_unguarded_tail_acts_as_fallback():
-    expr = parse("case n >= 5: 1 ; n")
-    assert evaluate(expr, 0, 7) == F(1)
-    assert evaluate(expr, 0, 2) == F(2)
+    value = compile_definition(parse("case n >= 5: 1 ; n"))
+    assert value(0, 7) == F(1)
+    assert value(0, 2) == F(2)
 
 
 def test_non_total_piecewise_rejected():
@@ -222,38 +224,33 @@ def test_single_expression_is_not_piecewise():
 
 
 def test_family_evaluation_examples():
-    expr = parse(FAMILY_TEXT)
-    assert evaluate(expr, 1, 2) == F(1, 2)
-    assert evaluate(expr, 2, 1) == F(2)
+    value = compile_definition(parse(FAMILY_TEXT))
+    assert value(1, 2) == F(1, 2)
+    assert value(2, 1) == F(2)
 
 
 def test_division_by_zero_carries_location():
     expr = parse("1/(n-1)")
     with pytest.raises(EvalDivisionByZero) as failure:
-        evaluate(expr, 4, 1)
+        compile_definition(expr)(4, 1)
     assert (failure.value.i, failure.value.n) == (4, 1)
 
 
-def test_evaluate_requires_positive_n():
-    with pytest.raises(ValueError):
-        evaluate(parse("n"), 0, 0)
-
-
 def test_evaluate_is_pure():
-    expr = parse(FAMILY_TEXT)
-    assert evaluate(expr, 3, 17) == evaluate(expr, 3, 17)
+    value = compile_definition(parse(FAMILY_TEXT))
+    assert value(3, 17) == value(3, 17)
 
 
 def test_power_evaluation():
-    assert evaluate(parse("(n+1)^3"), 0, 1) == F(8)
-    assert evaluate(parse("2^0"), 0, 1) == F(1)
+    assert compile_definition(parse("(n+1)^3"))(0, 1) == F(8)
+    assert compile_definition(parse("2^0"))(0, 1) == F(1)
 
 
 def test_family_matches_builtin_blocks():
-    expr = parse(FAMILY_TEXT)
+    value = compile_definition(parse(FAMILY_TEXT))
     for i in range(1, 7):
         built = build_T(i).listing().prefix(100)
-        evaluated = [evaluate(expr, i, n) for n in range(1, 101)]
+        evaluated = [value(i, n) for n in range(1, 101)]
         assert built == evaluated
 
 
@@ -273,10 +270,10 @@ def test_to_listing_thirds_shape():
 def test_constant_expression_dedups_to_singleton():
     ls = seq_spec(parse("1"), 0, "one").listing()
     assert ls.try_prefix(4) == [F(1)]
-    with pytest.raises(ListingExhausted):
-        ls.value_at(1)
     # The duplicate limit stopped the draw; the stream itself never ended.
-    assert ls.is_cut_off() and not ls.is_exhausted()
+    with pytest.raises(ListingExhausted, match="cut off after 1 values"):
+        ls.value_at(1)
+    assert ls.is_cut_off()
 
 
 def test_to_listing_propagates_evaluation_errors():

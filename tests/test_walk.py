@@ -1,17 +1,17 @@
 """Every walk over a listing agrees with ``try_prefix``, the reference read.
 
-Iteration, ``shift``, ``shift_spec`` and ``interleave`` all walk listings;
-each is checked here against prefixes read with ``try_prefix`` from fresh,
-independent listings of the same specs.
+Iteration, ``shift_spec``, ``interleave`` and the ``shift`` test helper all
+walk listings; each is checked here against prefixes read with
+``try_prefix`` from fresh, independent listings of the same specs.
 """
 
 from itertools import islice
 
 import pytest
 
-from enumorder.listings import interleave, shift, shift_spec
+from enumorder.listings import interleave, shift_spec
 
-from helpers import spec_factories
+from helpers import shift, spec_factories
 
 FACTORIES = spec_factories()
 LENGTHS = (0, 1, 7, 40)
