@@ -110,24 +110,17 @@ def _pair_json(pair: PairOutcome) -> dict:
     return out
 
 
-def _verdict(spec_a: SetSpec, spec_b: SetSpec) -> tuple[str, str | None]:
-    refuted = refute_type2(spec_a, spec_b)
-    if refuted is None:
-        return "unknown", None
-    return "refuted", refuted.reason
-
-
 def _descriptor_text(spec: SetSpec) -> str | None:
     return None if spec.descriptor is None else format_descriptor(spec.descriptor)
 
 
 def _pair_outcome(spec_a: SetSpec, spec_b: SetSpec, cells: list[Cell]) -> PairOutcome:
-    verdict, reason = _verdict(spec_a, spec_b)
+    refuted = refute_type2(spec_a, spec_b)
     return PairOutcome(
         spec_a.name,
         spec_b.name,
-        verdict,
-        reason,
+        "unknown" if refuted is None else "refuted",
+        None if refuted is None else refuted.reason,
         cells,
         left_descriptor=_descriptor_text(spec_a),
         right_descriptor=_descriptor_text(spec_b),

@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Callable, Iterator, Optional, Sequence
 
 from .ordertype import (
@@ -29,8 +29,7 @@ from .ordertype import (
     Dense,
     Descriptor,
     Fin,
-    Omega,
-    OmegaStar,
+    block_signature,
     normalize,
 )
 from .rational import format_rational
@@ -446,17 +445,30 @@ def finite_listing(values: Sequence[Fraction]) -> SetSpec:
     return SetSpec(name, stream, Fin(len(vals)), _finite_oracle(vals))
 
 
-def _all_infinite_blocks(d: Descriptor | None) -> bool:
-    if isinstance(d, (Omega, OmegaStar)):
-        return True
-    if isinstance(d, Concat):
-        return all(isinstance(b, (Omega, OmegaStar)) for b in d.blocks)
-    return False
+def _minus_finite(spec: SetSpec, removed: Sequence[Fraction], name: str) -> SetSpec:
+    """The set minus finitely many values, listed in the original order.
 
+    Deleting finitely many points leaves every infinite block infinite, so a
+    ``W``/``W*`` descriptor is kept. ``FIN(k)`` loses the removed values among
+    its k listed ones. Any other shape becomes unknown: deletions can move a
+    dense block's endpoints.
+    """
+    # Keyed by (numerator, denominator), like the listing's dedup.
+    keys = frozenset((v.numerator, v.denominator) for v in removed)
 
-# How far into a listing the finite-edit preconditions look. Membership is
-# only semi-decidable, so checks beyond this prefix are not attempted.
-EDIT_SCAN_PREFIX = 512
+    def kept(v: Fraction) -> bool:
+        return (v.numerator, v.denominator) not in keys
+
+    def stream() -> Iterator[Fraction]:
+        return filter(kept, spec.listing())
+
+    descriptor = spec.descriptor
+    if isinstance(descriptor, Fin):
+        listed = spec.listing().try_prefix(descriptor.size)
+        descriptor = Fin(descriptor.size - sum(not kept(v) for v in listed))
+    elif block_signature(descriptor) is None:
+        descriptor = None
+    return SetSpec(name, stream, descriptor, _minus_finite_oracle(spec.gap_oracle, removed))
 
 
 def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
@@ -464,22 +476,13 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     removed = frozenset(values)
     if not removed:
         return spec
-
-    def stream() -> Iterator[Fraction]:
-        return (v for v in spec.listing() if v not in removed)
-
-    if _all_infinite_blocks(spec.descriptor):
-        # Deleting finitely many points leaves every infinite block infinite.
-        descriptor = spec.descriptor
-    elif isinstance(spec.descriptor, Fin):
-        hits = sum(1 for v in spec.listing().try_prefix(spec.descriptor.size) if v in removed)
-        descriptor = Fin(spec.descriptor.size - hits)
-    else:
-        descriptor = None
-
-    oracle = _minus_finite_oracle(spec.gap_oracle, removed)
     name = f"{spec.name}+drop=" + ";".join(format_rational(v) for v in sorted(removed))
-    return SetSpec(name, stream, descriptor, oracle)
+    return _minus_finite(spec, removed, name)
+
+
+# How far into a listing the finite-edit preconditions look. Membership is
+# only semi-decidable, so checks beyond this prefix are not attempted.
+EDIT_SCAN_PREFIX = 512
 
 
 def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
@@ -517,18 +520,11 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
 def shift_spec(spec: SetSpec, m: int) -> SetSpec:
     """Spec whose natural listing starts ``m`` places into the original one.
 
-    As a set this removes the first ``m`` listed values. The order type of
-    the remainder is not derivable from the original descriptor in general
-    (the dropped values need not be extremes), so no descriptor is declared.
+    As a set this removes the first ``m`` listed values, so the descriptor
+    follows the rule of :func:`remove_finite`.
     """
     if m < 0:
         raise ValueError(f"shift must be nonnegative, got {m}")
     if m == 0:
         return spec
-    removed = spec.listing().try_prefix(m)
-
-    def stream() -> Iterator[Fraction]:
-        return islice(spec.listing(), m, None)
-
-    oracle = _minus_finite_oracle(spec.gap_oracle, removed)
-    return SetSpec(f"{spec.name}+shift={m}", stream, None, oracle)
+    return _minus_finite(spec, spec.listing().try_prefix(m), f"{spec.name}+shift={m}")

@@ -11,17 +11,14 @@ all-infinite concatenation is invariant under finite edits of the set, so a
 signature mismatch refutes even co-order up to finite differences
 (:func:`refute_type2`). Dense blocks are excluded from that route: deleting
 finitely many points can move a dense block's endpoints, so their interaction
-with finite edits is not settled here.
+with finite edits is not settled here. Other modules read the ``W``/``W*``
+shape only through :func:`block_signature`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-
-class UnsupportedDescriptorError(ValueError):
-    """The descriptor lies outside the shape a routine supports."""
 
 
 @dataclass(frozen=True)
@@ -87,28 +84,17 @@ class Direction(Enum):
     DESC = "DESC"
 
 
-def block_signature(spec_or_descriptor) -> list[Direction]:
-    """Ascending/descending pattern of an all-infinite-block descriptor.
-
-    Accepts a set spec (its ``descriptor`` attribute is used) or a bare
-    descriptor. Only ``W``/``W*`` and concatenations of them are supported.
+def block_signature(d: Descriptor | None) -> list[Direction] | None:
+    """Ascending/descending pattern of a ``W``/``W*`` block or a
+    concatenation of them; None for every other shape and for no descriptor.
     """
-    d = getattr(spec_or_descriptor, "descriptor", spec_or_descriptor)
     if d is None:
-        raise UnsupportedDescriptorError("no descriptor declared")
+        return None
     d = normalize(d)
     blocks = d.blocks if isinstance(d, Concat) else (d,)
-    signature = []
-    for block in blocks:
-        if isinstance(block, Omega):
-            signature.append(Direction.ASC)
-        elif isinstance(block, OmegaStar):
-            signature.append(Direction.DESC)
-        else:
-            raise UnsupportedDescriptorError(
-                f"block {format_descriptor(block)} is outside the W/W* signature shape"
-            )
-    return signature
+    directions = {Omega: Direction.ASC, OmegaStar: Direction.DESC}
+    signature = [directions.get(type(block)) for block in blocks]
+    return None if None in signature else signature
 
 
 @dataclass(frozen=True)
@@ -119,18 +105,15 @@ class Refuted:
 def refute_type2(spec_a, spec_b) -> Refuted | None:
     """Refute co-order-up-to-finite-edits by signature mismatch.
 
-    Returns a :class:`Refuted` verdict when both inputs have supported block
-    signatures and the signatures differ; finite edits cannot change the
-    signature of infinite blocks, so differing signatures are a sound
+    Returns a :class:`Refuted` verdict when both inputs' descriptors have
+    block signatures and the signatures differ; finite edits cannot change
+    the signature of infinite blocks, so differing signatures are a sound
     refutation. Returns ``None`` (unknown) otherwise: equal signatures refute
-    nothing, and unsupported shapes are out of this route's scope.
+    nothing, and other shapes are out of this route's scope.
     """
-    try:
-        sig_a = block_signature(spec_a)
-        sig_b = block_signature(spec_b)
-    except UnsupportedDescriptorError:
-        return None
-    if sig_a == sig_b:
+    sig_a = block_signature(spec_a.descriptor)
+    sig_b = block_signature(spec_b.descriptor)
+    if sig_a is None or sig_b is None or sig_a == sig_b:
         return None
     fmt = lambda sig: "[" + ",".join(s.value for s in sig) + "]"
     return Refuted(f"signature {fmt(sig_a)} != {fmt(sig_b)}")

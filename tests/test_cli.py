@@ -343,6 +343,21 @@ def test_type2_json_descriptor_text_round_trips(capsys):
     assert pair["right_descriptor"] == format_descriptor(build_A(2).descriptor)
 
 
+def test_type2_json_refutes_a_shifted_family_by_signature(capsys):
+    # +shift removes finitely many values, so A:2's W + W* signature stays.
+    code, out, err = run(
+        capsys,
+        "type2", "A:2+shift=3", "A:3",
+        "--mmax", "0", "--nmax", "0", "--prefix", "20",
+        "--format", "json",
+    )
+    assert code == 2
+    pair = json.loads(out)["pairs"][0]
+    assert pair["left_descriptor"] == "W + W*"
+    assert pair["descriptor_verdict"] == "refuted"
+    assert pair["reason"] == "signature [ASC,DESC] != [ASC,DESC,ASC]"
+
+
 # --- match -------------------------------------------------------------------------
 
 

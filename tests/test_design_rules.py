@@ -7,6 +7,10 @@ module needs from another is public there.
 Every name the package exports is used: some other module of the package
 refers to it, or README's "Library use" block imports it. Code that only
 tests call lives with the tests.
+
+Only ``ordertype.py`` names the ``W``/``W*`` block classes ``Omega`` and
+``OmegaStar``; other modules build descriptors from the ``OMEGA`` and
+``OMEGA_STAR`` constants and read their shape through ``block_signature``.
 """
 
 import ast
@@ -68,6 +72,45 @@ def test_rule_catches_both_forms(tmp_path):
         "b.py:2: imports _hidden",
         "b.py:6: a._hidden",
     ]
+
+
+W_SHAPE_CLASSES = {"Omega", "OmegaStar"}
+
+
+def w_shape_references(package: Path) -> list[str]:
+    """``file:line: name`` for every mention of a ``W``/``W*`` block class
+    outside ``ordertype.py``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "ordertype.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in names if n in W_SHAPE_CLASSES]
+    return [f"{name}:{line}: {n}" for name, line, n in sorted(found)]
+
+
+def test_only_ordertype_names_the_w_shape_classes():
+    assert w_shape_references(PACKAGE) == []
+
+
+def test_w_shape_rule_catches_imports_and_attributes(tmp_path):
+    (tmp_path / "ordertype.py").write_text(
+        "class Omega:\n    pass\n\n\nOMEGA = Omega()\n", encoding="utf-8"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import ordertype\nfrom .ordertype import OMEGA, Omega\n\n\n"
+        "def f(d):\n    return d is OMEGA or isinstance(d, ordertype.OmegaStar)\n",
+        encoding="utf-8",
+    )
+    assert w_shape_references(tmp_path) == ["b.py:2: Omega", "b.py:6: OmegaStar"]
 
 
 def library_use_imports(readme: str) -> set[str]:

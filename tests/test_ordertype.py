@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from enumorder.listings import (
+    add_finite,
     build_A,
     build_T,
     builtin_harmonic,
     builtin_thirds,
     finite_listing,
     rationals_in_interval,
+    remove_finite,
+    shift_spec,
 )
 from enumorder.ordertype import (
     OMEGA,
@@ -21,7 +24,6 @@ from enumorder.ordertype import (
     Direction,
     Fin,
     Refuted,
-    UnsupportedDescriptorError,
     block_signature,
     format_descriptor,
     normalize,
@@ -71,22 +73,19 @@ def test_normalize_idempotent():
 
 
 def test_block_signature_examples():
-    assert block_signature(build_A(1)) == [Direction.ASC]
-    assert block_signature(build_A(3)) == [
+    assert block_signature(build_A(1).descriptor) == [Direction.ASC]
+    assert block_signature(build_A(3).descriptor) == [
         Direction.ASC,
         Direction.DESC,
         Direction.ASC,
     ]
-    assert block_signature(build_T(2)) == [Direction.DESC]
+    assert block_signature(build_T(2).descriptor) == [Direction.DESC]
 
 
 def test_block_signature_rejects_unsupported_shapes():
-    with pytest.raises(UnsupportedDescriptorError):
-        block_signature(Fin(3))
-    with pytest.raises(UnsupportedDescriptorError):
-        block_signature(rationals_in_interval(Fraction(0), Fraction(1)))
-    with pytest.raises(UnsupportedDescriptorError):
-        block_signature(None)
+    assert block_signature(Fin(3)) is None
+    assert block_signature(rationals_in_interval(Fraction(0), Fraction(1)).descriptor) is None
+    assert block_signature(None) is None
 
 
 def test_refute_by_signature():
@@ -106,6 +105,56 @@ def test_dense_shape_is_out_of_signature_scope():
 def test_refuted_pairs_from_fixtures():
     assert isinstance(refute_type2(builtin_harmonic(), builtin_thirds()), Refuted)
     assert isinstance(refute_type2(build_A(1), build_A(2)), Refuted)
+
+
+# --- descriptors through the finite-edit modifiers ------------------------------
+
+
+def _infinite_edits(modifier, spec):
+    """Shifts by 1..5; drops of two listed values and an absent one; adds of
+    one new value."""
+    for m in range(1, 6):
+        if modifier == "shift":
+            yield shift_spec(spec, m)
+        elif modifier == "drop":
+            listed = spec.listing().prefix(m + 2)
+            yield remove_finite(spec, [listed[m - 1], listed[m + 1], Fraction(-m)])
+        else:
+            yield add_finite(spec, [Fraction(-m)])
+
+
+def _finite_edits(modifier, spec, size):
+    """Every shift from 0 to size + 1; every drop of listed values, with and
+    without an absent one; adds of zero to two new values."""
+    if modifier == "shift":
+        return [shift_spec(spec, m) for m in range(size + 2)]
+    if modifier == "drop":
+        candidates = [*spec.listing().try_prefix(size), Fraction(99)]
+        return [
+            remove_finite(spec, [v for bit, v in enumerate(candidates) if mask >> bit & 1])
+            for mask in range(2 ** len(candidates))
+        ]
+    return [add_finite(spec, [Fraction(-k) for k in range(1, n + 1)]) for n in range(3)]
+
+
+@pytest.mark.parametrize("modifier", ["shift", "drop", "add"])
+def test_each_modifier_keeps_the_descriptor_rule(modifier):
+    # +shift and +drop remove finitely many values: the W/W* signature, and
+    # with it the verdict of the unmodified pair, survives. +add keeps no
+    # infinite descriptor, so its verdicts are unknown.
+    for i in range(1, 5):
+        for edited in _infinite_edits(modifier, build_A(i)):
+            if modifier == "add":
+                assert edited.descriptor is None, edited.name
+            for j in range(1, 5):
+                expected = None if modifier == "add" else refute_type2(build_A(i), build_A(j))
+                assert refute_type2(edited, build_A(j)) == expected, (edited.name, j)
+    # On finite listings the listing itself is the oracle.
+    for values in ([], [Fraction(7)], [Fraction(3), Fraction(1, 2), Fraction(5)]):
+        size = len(values)
+        for edited in _finite_edits(modifier, finite_listing(values), size):
+            listed = edited.listing().try_prefix(size + 5)
+            assert edited.descriptor == Fin(len(listed)), edited.name
 
 
 def test_descriptor_text_examples():
@@ -138,7 +187,7 @@ def test_union_family_blocks_respect_declared_intervals():
     # even/odd boundary value is shared between neighbours.
     for i in (2, 3, 4):
         spec = build_A(i)
-        signature = block_signature(spec)
+        signature = block_signature(spec.descriptor)
         assert len(signature) == i
         for s in range(1, i + 1):
             block_values = build_T(s).listing().prefix(80)
