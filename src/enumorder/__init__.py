@@ -13,7 +13,6 @@ from .coorder import (
     WitnessReport,
     finite_coorder,
     match_listing,
-    minimal_witness,
     prefix_coorder,
     search_shift_witnesses,
     witness_projections,

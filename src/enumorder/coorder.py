@@ -11,6 +11,9 @@ pairs are all (i, j) with ``h(i+m) < h(j+m)`` and ``g(i+n) > g(j+n)``. A
 shift pair with no witness below the search bound is only a candidate for
 agreement-after-shifting, never a proof: the tool certifies witnesses, not
 their absence.
+
+A search ranks each listing once, in a :class:`RankStream` that all its
+shift cells share; ``check`` is the (0, 0) cell of a search.
 """
 
 from __future__ import annotations
@@ -67,56 +70,90 @@ def _ranks(values: list[Fraction]) -> list[int]:
     return ranks
 
 
-def minimal_witness(
-    h: Listing, g: Listing, m: int, n: int, length: int, *, h_need: int | None = None
-) -> WitnessPair | None:
-    """The witness pair with the smallest max(i, j), ties in lexicographic
-    (i, j) order, that the windows of ``h`` from index m and of ``g`` from
-    index n order oppositely, both indices below ``length``; None when the
-    two length-``length`` windows are co-ordered.
+class RankStream:
+    """One listing's values as drawn, each ranked in every window that starts
+    at a head index 0..``heads``.
 
-    When indices 0..d-1 agree, their values sort into the same index order
-    in both windows, and the indices below index d form a prefix of that
-    order in each. So index d adds a disagreement exactly when its insertion
-    ranks differ, and the first such d is the minimal max(i, j) over all
-    disagreeing pairs. Each window keeps its values seen so far sorted, so
-    reaching depth d costs O(d log d) exact comparisons, however long the
-    windows are.
-
-    At that depth, the earlier indices that disagree with d are exactly
-    those whose shared sorted position lies between d's two insertion
-    ranks, so they all lie on one side of h(d). The first index i with
-    ``(h_i < h_d) != (g_i < g_d)`` is therefore the minimal witness,
-    reported as (i, d) when h_i < h_d and as (d, i) otherwise.
-
-    Each window is read with ``value_at`` as d advances, so only ``h`` up to
-    index m + d and ``g`` up to index n + d are drawn. A window that ends
-    before the split raises :class:`ListingExhausted`. Errors come in the
-    order an eager draw would raise them, the first ``h_need`` values of
-    ``h`` (default ``length + m``) before any of ``g``: when a read of
-    ``g`` fails, ``h`` is drawn that far first.
+    ``ranks[m][d]`` is the insertion rank of value m + d among values
+    m..m+d-1. The stream keeps every drawn value in one sorted window of
+    (numerator, denominator) pairs. A new value t gets its rank G(t) among
+    values 0..t-1 by bisection, and the rank in the window from m is G(t)
+    minus #{k < m : value k < value t}, from at most ``heads`` comparisons
+    with the head values. Pairs compare by ``a * q < p * b``, which is exact:
+    a Fraction keeps lowest terms with a positive denominator.
     """
-    h_at, g_at = h.value_at, g.value_at
-    seen_h: list[Fraction] = []
-    seen_g: list[Fraction] = []
-    for d in range(length):
-        h_d = h_at(d + m)
+
+    def __init__(self, listing: Listing, heads: int):
+        self.listing = listing
+        self.values: list[Fraction] = []
+        self.ranks: list[list[int]] = [[] for _ in range(heads + 1)]
+        self._window: list[tuple[int, int]] = []
+        self._heads: list[tuple[int, int]] = []
+
+    def draw(self, t: int) -> None:
+        """Draw and rank the values up to index t."""
+        window, heads, ranks = self._window, self._heads, self.ranks
+        while len(self.values) <= t:
+            value = self.listing.value_at(len(self.values))
+            p, q = value.numerator, value.denominator
+            lo, hi = 0, len(window)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                a, b = window[mid]
+                if a * q < p * b:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            window.insert(lo, (p, q))
+            ranks[0].append(lo)
+            for m, (a, b) in enumerate(heads, 1):
+                lo -= a * q < p * b
+                ranks[m].append(lo)
+            if len(heads) < len(ranks) - 1:
+                heads.append((p, q))
+            self.values.append(value)
+
+
+def _cell_witness(
+    hs: RankStream, gs: RankStream, m: int, n: int, length: int, h_need: int
+) -> WitnessPair | None:
+    """The minimal witness of cell (m, n) below ``length``; None for a
+    candidate.
+
+    The split depth d is the first at which the windows of ``hs`` from m and
+    of ``gs`` from n rank their value d differently. The ranks both streams
+    already hold are compared first; h(m + d), then g(n + d), is drawn only
+    past them. When a read of g fails, ``h_need`` values of h are drawn
+    first, so a shortfall of h is raised before one of g.
+
+    The earlier indices that disagree with d sit between its two insertion
+    ranks, so they all lie on one side of h(m + d): the first index i with
+    ``(h_i < h_d) != (g_i < g_d)`` is the witness, reported as (i, d) when
+    h_i < h_d and as (d, i) otherwise.
+    """
+    hr, gr = hs.ranks[m], gs.ranks[n]
+    d = 0
+    while True:
+        span = min(len(hr), len(gr), length)
+        while d < span and hr[d] == gr[d]:
+            d += 1
+        if d < span:
+            break
+        if d == length:
+            return None
+        hs.draw(m + d)
         try:
-            g_d = g_at(d + n)
+            gs.draw(n + d)
         except Exception:
-            h.prefix(length + m if h_need is None else h_need)
+            hs.listing.prefix(h_need)
             raise
-        rank = bisect_left(seen_h, h_d)
-        if bisect_left(seen_g, g_d) != rank:
-            hv, gv = h.prefix(m + d), g.prefix(n + d)
-            i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
-            h_i, g_i = hv[m + i], gv[n + i]
-            if h_i < h_d:
-                return WitnessPair(i, d, h_i, h_d, g_i, g_d)
-            return WitnessPair(d, i, h_d, h_i, g_d, g_i)
-        seen_h.insert(rank, h_d)
-        seen_g.insert(rank, g_d)
-    return None
+    hv, gv = hs.values, gs.values
+    h_d, g_d = hv[m + d], gv[n + d]
+    i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
+    h_i, g_i = hv[m + i], gv[n + i]
+    if h_i < h_d:
+        return WitnessPair(i, d, h_i, h_d, g_i, g_d)
+    return WitnessPair(d, i, h_d, h_i, g_d, g_i)
 
 
 def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
@@ -124,14 +161,14 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
 
     Agreement holds exactly when the two order patterns are equal. On
     disagreement, the witness is the first violating pair when scanning j
-    upward and, inside each j, i upward over i < j: the unshifted minimal
-    witness, put in i < j order.
+    upward and, inside each j, i upward over i < j: the (0, 0) cell of
+    :func:`search_shift_witnesses`, put in i < j order.
 
     Only indices up to the first split j are drawn, so a witness is
     reported even from a listing shorter than ``length``; the shortfall
     error is raised only when agreement would need the missing values.
     """
-    w = minimal_witness(h, g, 0, 0, length)
+    w = search_shift_witnesses(h, g, 0, 0, length).cells[0].witness
     if w is None:
         return Agree(length)
     if w.i > w.j:
@@ -189,17 +226,29 @@ def search_shift_witnesses(
     """Minimal witness (or candidate marker) for every shift pair up to the
     bounds, with both indices below ``length``.
 
-    The cells share ``h`` and ``g``, and each draws only up to its shift
-    plus its split depth plus one. A witness is reported even from a
-    listing too short for the whole search; the shortfall error is raised
-    only for a cell that needs the missing values, with the message an
-    eager draw of ``length + m_max`` values of ``h``, then ``length +
-    n_max`` of ``g``, would give.
+    The witness of cell (m, n) has the smallest max(i, j), ties in
+    lexicographic (i, j) order. When indices 0..d-1 of its windows agree,
+    their values sort into the same index order in both windows, so index d
+    adds a disagreement exactly when its insertion ranks differ, and the
+    first such d is that smallest max(i, j).
+
+    Each listing has one :class:`RankStream`, shared by every cell: O(N log
+    N) comparisons for N drawn values, plus at most ``m_max`` (or ``n_max``)
+    per value. A cell compares two integer rank streams up to its split
+    depth, and compares values only there, to read off the witness.
+
+    Each cell draws only up to its shift plus its split depth plus one,
+    h(m + d) before g(n + d). A witness is reported even from a listing too
+    short for the whole search; the shortfall error is raised only for a
+    cell that needs the missing values, with the message an eager draw of
+    ``length + m_max`` values of ``h``, then ``length + n_max`` of ``g``,
+    would give.
     """
+    hs, gs = RankStream(h, m_max), RankStream(g, n_max)
     cells = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            witness = minimal_witness(h, g, m, n, length, h_need=length + m_max)
+            witness = _cell_witness(hs, gs, m, n, length, length + m_max)
             cells.append(Cell(m, n, witness))
     return WitnessReport(m_max, n_max, length, tuple(cells))
 

@@ -177,6 +177,60 @@ def minimal_witness_scan(h, g, m, n, length):
     return None
 
 
+# The per-cell loop that coorder's shared rank streams replaced, kept as the
+# oracle for every cell of a shift search.
+def minimal_witness(
+    h: Listing, g: Listing, m: int, n: int, length: int, *, h_need: int | None = None
+) -> WitnessPair | None:
+    """The witness pair with the smallest max(i, j), ties in lexicographic
+    (i, j) order, that the windows of ``h`` from index m and of ``g`` from
+    index n order oppositely, both indices below ``length``; None when the
+    two length-``length`` windows are co-ordered.
+
+    When indices 0..d-1 agree, their values sort into the same index order
+    in both windows, and the indices below index d form a prefix of that
+    order in each. So index d adds a disagreement exactly when its insertion
+    ranks differ, and the first such d is the minimal max(i, j) over all
+    disagreeing pairs. Each window keeps its values seen so far sorted, so
+    reaching depth d costs O(d log d) exact comparisons, however long the
+    windows are.
+
+    At that depth, the earlier indices that disagree with d are exactly
+    those whose shared sorted position lies between d's two insertion
+    ranks, so they all lie on one side of h(d). The first index i with
+    ``(h_i < h_d) != (g_i < g_d)`` is therefore the minimal witness,
+    reported as (i, d) when h_i < h_d and as (d, i) otherwise.
+
+    Each window is read with ``value_at`` as d advances, so only ``h`` up to
+    index m + d and ``g`` up to index n + d are drawn. A window that ends
+    before the split raises :class:`ListingExhausted`. Errors come in the
+    order an eager draw would raise them, the first ``h_need`` values of
+    ``h`` (default ``length + m``) before any of ``g``: when a read of
+    ``g`` fails, ``h`` is drawn that far first.
+    """
+    h_at, g_at = h.value_at, g.value_at
+    seen_h: list[Fraction] = []
+    seen_g: list[Fraction] = []
+    for d in range(length):
+        h_d = h_at(d + m)
+        try:
+            g_d = g_at(d + n)
+        except Exception:
+            h.prefix(length + m if h_need is None else h_need)
+            raise
+        rank = bisect_left(seen_h, h_d)
+        if bisect_left(seen_g, g_d) != rank:
+            hv, gv = h.prefix(m + d), g.prefix(n + d)
+            i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
+            h_i, g_i = hv[m + i], gv[n + i]
+            if h_i < h_d:
+                return WitnessPair(i, d, h_i, h_d, g_i, g_d)
+            return WitnessPair(d, i, h_d, h_i, g_d, g_i)
+        seen_h.insert(rank, h_d)
+        seen_g.insert(rank, g_d)
+    return None
+
+
 def exact_feasible(hv, k, chosen, candidate, pool, used, pick_index):
     """Feasibility oracle: with the target fully known, can the rest of the
     input pattern still embed if the candidate is placed at step k?

@@ -1,5 +1,7 @@
-"""The insertion-rank locator and the projection sweep against their
-brute-force predecessors, over random spec pairs, shifts and lengths.
+"""The shift search and the projection sweep against their predecessors,
+over random spec pairs, shifts and lengths: every cell against the per-cell
+insertion-rank loop and the exhaustive pair scan, and the rank streams the
+cells share against ``bisect_left`` on sorted ``Fraction`` lists.
 
 Each side is a spec from the shared pool or a short listing that ends, is
 cut off (as the duplicate limit cuts a listing off) or goes on, so many
@@ -9,6 +11,8 @@ lacks, both sides must raise the same ``ListingExhausted``, with the
 message an eager draw of h's prefix, then g's, raises.
 """
 
+import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -18,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumorder.coorder import (
+    Cell,
     Disagree,
+    RankStream,
     WitnessPair,
-    minimal_witness,
+    WitnessReport,
     prefix_coorder,
     search_shift_witnesses,
     witness_projections,
@@ -30,10 +36,12 @@ from enumorder.listings import (
     Listing,
     ListingCutOff,
     ListingExhausted,
+    build_A,
     builtin_thirds,
 )
 
 from helpers import (
+    minimal_witness,
     minimal_witness_scan,
     prefix_coorder_scan,
     project_first,
@@ -100,12 +108,24 @@ def test_check_matches_pairwise_scan(a, b, length):
     assert fast == outcome(prefix_coorder_scan, *listings(a, b), length)
 
 
+def search_by_cells(h, g, m_max, n_max, length):
+    """The shift search as one per-cell oracle loop per cell, in cell order,
+    on the same two listings."""
+    cells = [
+        Cell(m, n, minimal_witness(h, g, m, n, length, h_need=length + m_max))
+        for m in range(m_max + 1)
+        for n in range(n_max + 1)
+    ]
+    return WitnessReport(m_max, n_max, length, tuple(cells))
+
+
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
 def test_every_search_cell_matches_the_oracle(a, b, m_max, n_max, length):
     # When a cell needs values a listing lacks, the search raises the
     # shortfall of an eager draw of h's values, then g's.
     report = outcome(search_shift_witnesses, *listings(a, b), m_max, n_max, length)
+    assert report == outcome(search_by_cells, *listings(a, b), m_max, n_max, length)
     h, g = listings(a, b)
     expected = [
         outcome(minimal_witness_scan, h, g, m, n, length)
@@ -198,3 +218,78 @@ def test_search_shortfall_names_h_as_its_largest_shift_would():
     # (1, 0) would need 3, so an eager draw of h's values before g's names h.
     report = outcome(search_shift_witnesses, values("1/2", 3), values("1/2"), 1, 0, 2)
     assert report == Exhausted("listing ended after 2 values")
+
+
+# --- the rank streams the cells share ----------------------------------------------
+
+BIG = 2**64
+rationals = st.one_of(
+    st.fractions(max_denominator=12).filter(lambda v: abs(v) <= 12),
+    st.builds(Fraction, st.integers(-4 * BIG, 4 * BIG), st.integers(BIG, 3 * BIG)),
+    # Beyond 4,300 digits, where int-to-text conversion would refuse.
+    st.builds(lambda k: Fraction(2**20000 + k, 3), st.integers(-3, 3)),
+)
+# A value alone, or beside its negation in either order.
+groups = st.one_of(
+    rationals.map(lambda v: [v]),
+    st.builds(lambda v, sign: [sign * v, -sign * v], rationals, st.sampled_from((1, -1))),
+)
+distinct_values = st.lists(groups, max_size=16).map(
+    lambda drawn: list(dict.fromkeys(v for group in drawn for v in group))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(distinct_values, st.integers(0, 4))
+def test_rank_stream_equals_bisection_on_fractions(values, heads):
+    stream = RankStream(Listing(iter(values)), heads)
+    if values:
+        stream.draw(len(values) - 1)
+    assert stream.values == values
+    for m in range(heads + 1):
+        expected = [
+            bisect_left(sorted(values[m:t]), values[t]) for t in range(m, len(values))
+        ]
+        assert stream.ranks[m] == expected
+
+
+# --- what a search draws --------------------------------------------------------------
+
+
+def counted_listing(spec):
+    """A listing of the spec, and a one-item list counting the values it drew."""
+    drawn = [0]
+
+    def stream():
+        for value in spec.listing():
+            drawn[0] += 1
+            yield value
+
+    return Listing(stream()), drawn
+
+
+def refuted_pair(seed):
+    """A seeded spec pair whose 4 x 4 search, to length 60, witnesses every cell."""
+    rng = random.Random(seed)
+    factories = spec_factories()
+    while True:
+        a, b = rng.choice(factories), rng.choice(factories)
+        report = outcome(search_shift_witnesses, a().listing(), b().listing(), 4, 4, 60)
+        if isinstance(report, WitnessReport) and report.all_witnessed():
+            return a(), b(), 4, 4, 60
+
+
+@pytest.mark.parametrize("case", ["A:1/A:2", 1, 2, 3, 4])
+def test_search_draws_only_to_the_deepest_witness(case):
+    # Every cell is witnessed, so each listing is drawn exactly as far as
+    # the deepest cell reads it: its shift plus its split depth plus one.
+    if case == "A:1/A:2":
+        h_spec, g_spec, m_max, n_max, length = build_A(1), build_A(2), 10, 10, 500
+    else:
+        h_spec, g_spec, m_max, n_max, length = refuted_pair(seed=case)
+    (h, h_drawn), (g, g_drawn) = counted_listing(h_spec), counted_listing(g_spec)
+    report = search_shift_witnesses(h, g, m_max, n_max, length)
+    assert report.all_witnessed()
+    depth = {(c.m, c.n): max(c.witness.i, c.witness.j) + 1 for c in report.cells}
+    assert h_drawn[0] == max(m + d for (m, _), d in depth.items())
+    assert g_drawn[0] == max(n + d for (_, n), d in depth.items())
