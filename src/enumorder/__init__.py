@@ -1,14 +1,10 @@
 """Enumeration-order analysis for computably enumerable sets of rationals."""
 
 from .coorder import (
-    Agree,
     Cell,
-    CoorderVerdict,
-    Disagree,
     FuelExhausted,
     GapEmpty,
     MatchSuccess,
-    ShiftPair,
     WitnessPair,
     WitnessReport,
     finite_coorder,

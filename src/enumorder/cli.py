@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import experiments
 from .coorder import (
-    Agree,
     GapEmpty,
     MatchSuccess,
     match_listing,
@@ -91,7 +90,7 @@ def _resolve_base(text: str) -> SetSpec:
         lines = Path(rest).read_text(encoding="utf-8").splitlines()
         indices = [line.split("#", 1)[0] for line in lines]
         index_spec = finite_listing([parse_rational(m) for m in indices if m.strip()])
-        return builtin_dyadic(index_spec.listing(), text)
+        return builtin_dyadic(index_spec, text)
     if kind == "seq:":
         path_text, i_text = rest.rsplit(":i=", 1) if ":i=" in rest else (rest, "1")
         i_value = _int(i_text)
@@ -252,11 +251,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
-    verdict = prefix_coorder(spec_a.listing(), spec_b.listing(), args.prefix)
-    if isinstance(verdict, Agree):
-        print(f"agree on prefix {verdict.n}: {spec_a.name} ~ {spec_b.name}")
+    w = prefix_coorder(spec_a.listing(), spec_b.listing(), args.prefix)
+    if w is None:
+        print(f"agree on prefix {args.prefix}: {spec_a.name} ~ {spec_b.name}")
         return EXIT_OK
-    w = verdict.witness
     print(
         f"disagree at (i={w.i}, j={w.j}): "
         f"{spec_a.name} orders {format_rational(w.h_i)} vs {format_rational(w.h_j)}, "
@@ -268,22 +266,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_type2(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
-    pair = experiments.search_pair(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
-    clean = [c for c in pair.cells if c.witness is None]
-    wrapped = ReproReport(
-        "type2",
-        {"m_max": args.mmax, "n_max": args.nmax, "prefix": args.prefix},
-        [pair],
-        passed=bool(clean),
-    )
+    report = experiments.run_type2(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
+    clean = [c for c in report.pairs[0].cells if c.witness is None]
     if args.format == "json":
-        _emit(_report_json(wrapped), args.out)
+        _emit(_report_json(report), args.out)
     elif clean:
         cells = ", ".join(f"({c.m},{c.n})" for c in clean)
         _emit(f"candidate shift pairs with no witness below {args.prefix}: {cells}", args.out)
     else:
         _emit(f"every shift pair has a witness below {args.prefix}", args.out)
-    return EXIT_OK if clean else EXIT_NEGATIVE
+    return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
 def _cmd_match(args: argparse.Namespace) -> int:

@@ -4,7 +4,8 @@ Two listings agree on a prefix of length N (are co-ordered there) when the
 relative order of every index pair coincides, equivalently when their order
 patterns — the rank permutations of the prefixes — are equal. A witness pair
 records two indices the listings order oppositely, together with the four
-compared values.
+compared values. Disagreement has that finite certificate and agreement has
+none, so a check, like each shift cell below, returns a witness or None.
 
 Shifted disagreement sets generalize this: for shifts (m, n), the witness
 pairs are all (i, j) with ``h(i+m) < h(j+m)`` and ``g(i+n) > g(j+n)``. A
@@ -22,7 +23,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
 from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec, in_gap
 
@@ -42,24 +42,6 @@ class WitnessPair:
     h_j: Fraction
     g_i: Fraction
     g_j: Fraction
-
-
-class ShiftPair(NamedTuple):
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Agree:
-    n: int
-
-
-@dataclass(frozen=True)
-class Disagree:
-    witness: WitnessPair
-
-
-CoorderVerdict = Agree | Disagree
 
 
 def _ranks(values: list[Fraction]) -> list[int]:
@@ -156,24 +138,24 @@ def _cell_witness(
     return WitnessPair(d, i, h_d, h_i, g_d, g_i)
 
 
-def prefix_coorder(h: Listing, g: Listing, length: int) -> CoorderVerdict:
-    """Check co-order on prefixes of the given length.
+def prefix_coorder(h: Listing, g: Listing, length: int) -> WitnessPair | None:
+    """The disagreement witness on prefixes of the given length, or None
+    when they agree.
 
-    Agreement holds exactly when the two order patterns are equal. On
-    disagreement, the witness is the first violating pair when scanning j
-    upward and, inside each j, i upward over i < j: the (0, 0) cell of
-    :func:`search_shift_witnesses`, put in i < j order.
+    Agreement holds exactly when the two order patterns are equal; it has no
+    finite certificate, so None is all it returns. The witness is the first
+    violating pair when scanning j upward and, inside each j, i upward over
+    i < j: the (0, 0) cell of :func:`search_shift_witnesses`, put in i < j
+    order.
 
     Only indices up to the first split j are drawn, so a witness is
     reported even from a listing shorter than ``length``; the shortfall
     error is raised only when agreement would need the missing values.
     """
     w = search_shift_witnesses(h, g, 0, 0, length).cells[0].witness
-    if w is None:
-        return Agree(length)
-    if w.i > w.j:
-        w = WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
-    return Disagree(w)
+    if w is not None and w.i > w.j:
+        return WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
+    return w
 
 
 def witness_projections(

@@ -2,6 +2,8 @@
 
 Each run produces a :class:`ReproReport` whose JSON form is deterministic:
 identical parameters yield identical output apart from the ``timing`` field.
+Every report, the one ``type2`` writes included, is built here by one helper
+that also measures its ``timing``; the command line only writes it.
 Per-pair results carry a descriptor verdict (symbolic route) next to the
 per-shift witness cells (empirical route); the two routes never contradict
 each other on the built-in families, and the reports make the finite search
@@ -13,12 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coorder import (
     Cell,
-    Disagree,
-    ShiftPair,
     WitnessPair,
     finite_coorder,
     prefix_coorder,
@@ -41,7 +41,7 @@ DEFAULT_M_MAX = 10
 DEFAULT_N_MAX = 10
 DEFAULT_PREFIX = 500
 
-DEFAULT_GROWTH_SHIFTS = (ShiftPair(0, 0), ShiftPair(3, 1), ShiftPair(7, 7))
+DEFAULT_GROWTH_SHIFTS = ((0, 0), (3, 1), (7, 7))
 DEFAULT_GROWTH_SCHEDULE = (50, 100, 200, 400)
 
 
@@ -127,6 +127,24 @@ def _pair_outcome(spec_a: SetSpec, spec_b: SetSpec, cells: list[Cell]) -> PairOu
     )
 
 
+def _report(
+    experiment: str,
+    params: dict,
+    run: Callable[[], tuple[list[PairOutcome], bool, dict]],
+) -> ReproReport:
+    """The report of one run: ``run`` returns its pairs, whether it passed,
+    and its fixtures; ``elapsed_seconds`` is the time ``run`` took."""
+    start = time.perf_counter()
+    pairs, passed, fixtures = run()
+    return ReproReport(experiment, params, pairs, fixtures, passed, time.perf_counter() - start)
+
+
+def _union_params(i_max: int, m_max: int, n_max: int, prefix: int) -> dict:
+    if i_max < 2:
+        raise ValueError(f"need at least two families, got i_max={i_max}")
+    return {"i_max": i_max, "m_max": m_max, "n_max": n_max, "prefix": prefix}
+
+
 def search_pair(
     spec_a: SetSpec, spec_b: SetSpec, m_max: int, n_max: int, prefix: int
 ) -> PairOutcome:
@@ -134,6 +152,19 @@ def search_pair(
     verdict."""
     report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, prefix)
     return _pair_outcome(spec_a, spec_b, list(report.cells))
+
+
+def run_type2(
+    spec_a: SetSpec, spec_b: SetSpec, m_max: int, n_max: int, prefix: int
+) -> ReproReport:
+    """One pair's shift search; the run passes when some cell is a
+    candidate, i.e. has no witness below the bound."""
+
+    def run() -> tuple[list[PairOutcome], bool, dict]:
+        pair = search_pair(spec_a, spec_b, m_max, n_max, prefix)
+        return [pair], not pair.all_witnessed(), {}
+
+    return _report("type2", {"m_max": m_max, "n_max": n_max, "prefix": prefix}, run)
 
 
 def run_theorem9(
@@ -147,21 +178,16 @@ def run_theorem9(
     Every pair i < j is checked on both routes; the run passes when every
     pair is refuted by signature and every shift cell has a witness.
     """
-    if i_max < 2:
-        raise ValueError(f"need at least two families, got i_max={i_max}")
-    start = time.perf_counter()
-    pairs = []
-    for i in range(1, i_max + 1):
-        for j in range(i + 1, i_max + 1):
-            pairs.append(search_pair(build_A(i), build_A(j), m_max, n_max, prefix))
-    passed = all(p.verdict == "refuted" and p.all_witnessed() for p in pairs)
-    return ReproReport(
-        "theorem9",
-        {"i_max": i_max, "m_max": m_max, "n_max": n_max, "prefix": prefix},
-        pairs,
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    params = _union_params(i_max, m_max, n_max, prefix)
+
+    def run() -> tuple[list[PairOutcome], bool, dict]:
+        pairs = []
+        for i in range(1, i_max + 1):
+            for j in range(i + 1, i_max + 1):
+                pairs.append(search_pair(build_A(i), build_A(j), m_max, n_max, prefix))
+        return pairs, all(p.verdict == "refuted" and p.all_witnessed() for p in pairs), {}
+
+    return _report("theorem9", params, run)
 
 
 def run_theorem5(
@@ -175,22 +201,17 @@ def run_theorem5(
     Mirrors the induction that separates every union family from the first
     one; the run passes when each step has a witness in every shift cell.
     """
-    if i_max < 2:
-        raise ValueError(f"need at least two families, got i_max={i_max}")
-    start = time.perf_counter()
-    base = build_A(1)
-    pairs = []
-    for i in range(1, i_max):
-        left = interleave([build_A(i), build_T(i + 1)])
-        pairs.append(search_pair(left, base, m_max, n_max, prefix))
-    passed = all(p.all_witnessed() for p in pairs)
-    return ReproReport(
-        "theorem5",
-        {"i_max": i_max, "m_max": m_max, "n_max": n_max, "prefix": prefix},
-        pairs,
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    params = _union_params(i_max, m_max, n_max, prefix)
+
+    def run() -> tuple[list[PairOutcome], bool, dict]:
+        base = build_A(1)
+        pairs = []
+        for i in range(1, i_max):
+            left = interleave([build_A(i), build_T(i + 1)])
+            pairs.append(search_pair(left, base, m_max, n_max, prefix))
+        return pairs, all(p.all_witnessed() for p in pairs), {}
+
+    return _report("theorem5", params, run)
 
 
 def run_examples() -> ReproReport:
@@ -200,36 +221,29 @@ def run_examples() -> ReproReport:
     routes with an unshifted witness; two equal-cardinality finite sets are
     co-ordered; the unit-interval listing reaches 1/2 among its first values.
     """
-    start = time.perf_counter()
-    harmonic, thirds = builtin_harmonic(), builtin_thirds()
-    check = prefix_coorder(harmonic.listing(), thirds.listing(), 10)
-    witness = check.witness if isinstance(check, Disagree) else None
-    pair = _pair_outcome(harmonic, thirds, [Cell(0, 0, witness)])
-    verdict = pair.verdict
 
-    finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
-    finite_b = [Fraction(-1), Fraction(0), Fraction(7)]
-    fixtures = {
-        "finite_equal_cardinality_coorder": finite_coorder(finite_a, finite_b),
-        "recursive_pair_refuted": verdict == "refuted" and witness is not None,
-        "interval_first_values_contain_half": Fraction(1, 2)
-        in rationals_in_interval(Fraction(0), Fraction(1)).listing().prefix(5),
-    }
-    passed = all(fixtures.values())
-    return ReproReport(
-        "examples",
-        {},
-        [pair],
-        fixtures=fixtures,
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    def run() -> tuple[list[PairOutcome], bool, dict]:
+        harmonic, thirds = builtin_harmonic(), builtin_thirds()
+        witness = prefix_coorder(harmonic.listing(), thirds.listing(), 10)
+        pair = _pair_outcome(harmonic, thirds, [Cell(0, 0, witness)])
+
+        finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
+        finite_b = [Fraction(-1), Fraction(0), Fraction(7)]
+        fixtures = {
+            "finite_equal_cardinality_coorder": finite_coorder(finite_a, finite_b),
+            "recursive_pair_refuted": pair.verdict == "refuted" and witness is not None,
+            "interval_first_values_contain_half": Fraction(1, 2)
+            in rationals_in_interval(Fraction(0), Fraction(1)).listing().prefix(5),
+        }
+        return [pair], all(fixtures.values()), fixtures
+
+    return _report("examples", {}, run)
 
 
 def witness_growth(
     spec_a: SetSpec,
     spec_b: SetSpec,
-    shifts: Sequence[ShiftPair],
+    shifts: Sequence[tuple[int, int]],
     schedule: Sequence[int],
 ) -> PairOutcome:
     """Sizes of the witness-pair index projections along a prefix schedule.
@@ -238,7 +252,8 @@ def witness_growth(
     index sets keep growing, and the recorded counts make that visible at
     desk scale.
     """
-    if refute_type2(spec_a, spec_b) is None:
+    outcome = _pair_outcome(spec_a, spec_b, [])
+    if outcome.verdict != "refuted":
         raise ValueError(
             f"{spec_a.name} vs {spec_b.name} is not descriptor-refuted; "
             "growth evidence needs a refuted pair"
@@ -258,32 +273,26 @@ def witness_growth(
             for t in range(len(counts) - 1)
         )
         growth.append({"m": m, "n": n, "counts": counts, "strictly_increasing": increasing})
-    outcome = _pair_outcome(spec_a, spec_b, [])
     outcome.growth = growth
     return outcome
 
 
 def run_lemma5(
-    shifts: Sequence[ShiftPair] = DEFAULT_GROWTH_SHIFTS,
+    shifts: Sequence[tuple[int, int]] = DEFAULT_GROWTH_SHIFTS,
     schedule: Sequence[int] = DEFAULT_GROWTH_SCHEDULE,
 ) -> ReproReport:
     """Growth evidence for the two stock refuted pairs."""
-    start = time.perf_counter()
-    stock = [
-        (builtin_harmonic(), builtin_thirds()),
-        (build_A(1), build_A(2)),
-    ]
-    pairs = [witness_growth(a, b, shifts, schedule) for a, b in stock]
-    passed = all(
-        entry["strictly_increasing"] for p in pairs for entry in (p.growth or [])
-    )
-    return ReproReport(
-        "lemma5",
-        {
-            "shifts": [[m, n] for m, n in shifts],
-            "schedule": list(schedule),
-        },
-        pairs,
-        passed=passed,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+
+    def run() -> tuple[list[PairOutcome], bool, dict]:
+        stock = [
+            (builtin_harmonic(), builtin_thirds()),
+            (build_A(1), build_A(2)),
+        ]
+        pairs = [witness_growth(a, b, shifts, schedule) for a, b in stock]
+        passed = all(
+            entry["strictly_increasing"] for p in pairs for entry in (p.growth or [])
+        )
+        return pairs, passed, {}
+
+    params = {"shifts": [[m, n] for m, n in shifts], "schedule": list(schedule)}
+    return _report("lemma5", params, run)

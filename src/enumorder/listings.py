@@ -270,14 +270,15 @@ def builtin_thirds() -> SetSpec:
     return SetSpec("thirds", stream, OMEGA, oracle)
 
 
-def builtin_dyadic(index_listing: Listing, name: str = "dyadic") -> SetSpec:
-    """Powers 2**(-m) for each m drawn from an index listing of naturals.
+def builtin_dyadic(index: SetSpec, name: str = "dyadic") -> SetSpec:
+    """Powers 2**(-m) for each m drawn from a listing of the index set of
+    naturals; each stream walks a replay of its own.
 
     A power of more than ``MAX_POWER_BITS`` bits is refused when drawn.
     """
 
     def stream() -> Iterator[Fraction]:
-        for k, v in enumerate(index_listing):
+        for k, v in enumerate(index.listing()):
             if v.denominator != 1 or v < 0:
                 raise NonNaturalIndexError(
                     f"index listing produced {format_rational(v)} at position {k}; "

@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import count, islice, permutations
 
 from enumorder.coorder import (
-    Agree,
-    Disagree,
     FuelExhausted,
     GapEmpty,
     MatchSuccess,
@@ -74,7 +72,7 @@ def spec_factories():
             [Fraction(-2), Fraction(0), Fraction(7, 3), Fraction(9), Fraction(-11, 4)]
         ),
         lambda: builtin_dyadic(
-            finite_listing([Fraction(k) for k in (3, 0, 5, 1, 8, 2, 7, 4, 6, 9)]).listing()
+            finite_listing([Fraction(k) for k in (3, 0, 5, 1, 8, 2, 7, 4, 6, 9)])
         ),
         lambda: remove_finite(builtin_harmonic(), [Fraction(1)]),
         lambda: add_finite(builtin_thirds(), [Fraction(-5)]),
@@ -139,7 +137,8 @@ def _shortfall(h, g, h_need, g_need):
 
 def prefix_coorder_scan(h, g, length):
     """Pairwise co-order oracle: the first pair (i, j), scanning j upward
-    and i upward below j, that the two prefixes order oppositely.
+    and i upward below j, that the two prefixes order oppositely; None when
+    they agree.
 
     Scans the part of the prefix both listings have; raises their shortfall
     only when no pair there disagrees, as agreement needs the rest."""
@@ -149,10 +148,10 @@ def prefix_coorder_scan(h, g, length):
     for j in range(scanned):
         for i in range(j):
             if (hv[i] < hv[j]) != (gv[i] < gv[j]):
-                return Disagree(WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j]))
+                return WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j])
     if scanned < length:
         _shortfall(h, g, length, length)
-    return Agree(length)
+    return None
 
 
 def minimal_witness_scan(h, g, m, n, length):

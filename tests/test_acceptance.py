@@ -11,11 +11,8 @@ from fractions import Fraction
 
 from enumorder.cli import main
 from enumorder.coorder import (
-    Agree,
-    Disagree,
     GapEmpty,
     MatchSuccess,
-    ShiftPair,
     finite_coorder,
     match_listing,
     prefix_coorder,
@@ -85,7 +82,7 @@ def test_criterion_1_finite_oracle_equivalence():
 
 
 def test_criterion_2_pattern_verdict_equivalence():
-    """200 randomized listing-prefix pairs: Agree iff equal order patterns,
+    """200 randomized listing-prefix pairs: no witness iff equal order patterns,
     and every disagreement witness records a genuine inversion."""
     rng = random.Random(202)
     checked = 0
@@ -101,15 +98,14 @@ def test_criterion_2_pattern_verdict_equivalence():
             continue
         checked += 1
         h, g = spec_a.listing(), spec_b.listing()
-        verdict = prefix_coorder(h, g, limit)
+        w = prefix_coorder(h, g, limit)
         patterns_equal = order_pattern(spec_a.listing(), limit) == order_pattern(
             spec_b.listing(), limit
         )
-        if isinstance(verdict, Agree) != patterns_equal:
+        if (w is None) != patterns_equal:
             ok = False
             break
-        if isinstance(verdict, Disagree):
-            w = verdict.witness
+        if w is not None:
             hv, gv = h.prefix(limit), g.prefix(limit)
             if not (
                 0 <= w.i < w.j < limit
@@ -145,7 +141,7 @@ def test_criterion_3_union_family_separation_matrix():
 def test_criterion_4_witness_growth():
     """Projection sizes strictly increase along the prefix schedule for both
     stock refuted pairs at shifts (0,0), (3,1), (7,7)."""
-    shifts = [ShiftPair(0, 0), ShiftPair(3, 1), ShiftPair(7, 7)]
+    shifts = [(0, 0), (3, 1), (7, 7)]
     schedule = [50, 100, 200, 400]
     ok = True
     for spec_a, spec_b in (
@@ -178,7 +174,7 @@ def test_criterion_5_matching_construction():
                 finite_ok = False
                 break
             rebuilt = finite_listing(list(outcome.values)).listing()
-            if prefix_coorder(h_spec.listing(), rebuilt, size) != Agree(size):
+            if prefix_coorder(h_spec.listing(), rebuilt, size) is not None:
                 finite_ok = False
                 break
         if not finite_ok:
@@ -193,7 +189,7 @@ def test_criterion_5_matching_construction():
     dense_ok = isinstance(dense, MatchSuccess) and len(dense.values) == 50
     if dense_ok:
         rebuilt = finite_listing(list(dense.values)).listing()
-        dense_ok = prefix_coorder(builtin_harmonic().listing(), rebuilt, 50) == Agree(50)
+        dense_ok = prefix_coorder(builtin_harmonic().listing(), rebuilt, 50) is None
 
     refutation = match_listing(builtin_harmonic().listing(), builtin_thirds(), 50, 10_000)
     refuted_ok = isinstance(refutation, GapEmpty)

@@ -1,6 +1,7 @@
 """Command-line interface: resolution, commands, exit codes, output forms."""
 
 import json
+from fractions import Fraction
 from xml.dom import minidom
 
 import pytest
@@ -222,6 +223,17 @@ def test_added_value_clash_names_the_values(capsys):
     assert err == "error: segment 'add=1/2;1/3': values already present in the set: 1/3, 1/2\n"
 
 
+def test_added_value_clash_scan_ends_at_the_edit_scan_prefix(capsys):
+    # thirds lists k/3 at index k; the scan covers indices 0..511 only.
+    code, out, err = run(capsys, "list", "thirds+add=511/3", "--count", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: segment 'add=511/3': values already present in the set: 511/3\n"
+    code, out, err = run(capsys, "list", "thirds+add=512/3", "--count", "515")
+    assert (code, err) == (0, "")
+    expected = ["512/3"] + [str(Fraction(k, 3)) for k in range(512)] + ["171", "514/3"]
+    assert out == ", ".join(expected) + "\n"
+
+
 def test_list_json(capsys):
     code, out, err = run(capsys, "list", "A:2", "--count", "4", "--format", "json")
     assert code == 0
@@ -311,6 +323,8 @@ def test_type2_json_schema(capsys):
     assert code == 2
     report = json.loads(out)
     assert report["experiment"] == "type2"
+    elapsed = report["timing"]["elapsed_seconds"]
+    assert isinstance(elapsed, float) and elapsed > 0
     pair = report["pairs"][0]
     assert pair["descriptor_verdict"] == "refuted"
     assert len(pair["cells"]) == 4

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from enumorder.coorder import ShiftPair
 from enumorder.experiments import (
     run_examples,
     run_lemma5,
@@ -94,7 +93,7 @@ def test_examples_fixture_suite():
 
 def test_growth_counts_match_witness_sets():
     outcome = witness_growth(
-        builtin_harmonic(), builtin_thirds(), [ShiftPair(0, 0)], [3, 10, 20, 40]
+        builtin_harmonic(), builtin_thirds(), [(0, 0)], [3, 10, 20, 40]
     )
     counts = outcome.growth[0]["counts"]
     assert counts[0] == {"prefix": 3, "first_indices": 2, "second_indices": 2}
@@ -105,7 +104,7 @@ def test_growth_counts_match_witness_sets():
 
 def test_growth_requires_refuted_pair():
     with pytest.raises(ValueError):
-        witness_growth(builtin_harmonic(), builtin_harmonic(), [ShiftPair(0, 0)], [10, 20])
+        witness_growth(builtin_harmonic(), builtin_harmonic(), [(0, 0)], [10, 20])
 
 
 def test_growth_empty_shift_list():

@@ -56,25 +56,40 @@ def test_thirds_values():
 
 
 def test_dyadic_consecutive_indices():
-    indices = finite_listing([F(0), F(1), F(2), F(3)]).listing()
+    indices = finite_listing([F(0), F(1), F(2), F(3)])
     ls = builtin_dyadic(indices).listing()
     assert ls.prefix(4) == [F(1), F(1, 2), F(1, 4), F(1, 8)]
 
 
 def test_dyadic_arbitrary_indices():
-    indices = finite_listing([F(3), F(1), F(2)]).listing()
+    indices = finite_listing([F(3), F(1), F(2)])
     ls = builtin_dyadic(indices).listing()
     assert ls.prefix(3) == [F(1, 8), F(1, 2), F(1, 4)]
 
 
 def test_dyadic_empty_index_stream():
-    ls = builtin_dyadic(finite_listing([]).listing()).listing()
+    ls = builtin_dyadic(finite_listing([])).listing()
     assert ls.try_prefix(5) == []
+
+
+def test_dyadic_listings_each_replay_the_index_spec():
+    starts = []
+
+    def stream():
+        starts.append(len(starts))
+        yield from (F(2), F(0), F(1))
+
+    spec = builtin_dyadic(SetSpec("indices", stream))
+    first, second = spec.listing(), spec.listing()
+    assert first.prefix(2) == [F(1, 4), F(1)]
+    assert second.prefix(3) == [F(1, 4), F(1), F(1, 2)]
+    assert first.prefix(3) == second.prefix(3)
+    assert starts == [0, 1]
 
 
 def test_dyadic_rejects_non_natural_indices():
     for bad in (F(1, 2), F(-1)):
-        ls = builtin_dyadic(finite_listing([bad]).listing()).listing()
+        ls = builtin_dyadic(finite_listing([bad])).listing()
         with pytest.raises(NonNaturalIndexError):
             ls.value_at(0)
 
@@ -153,7 +168,7 @@ def test_union_family_value_set_is_union_of_blocks():
 
 def test_dyadic_refuses_powers_over_the_bit_cap():
     # 2**m has m + 1 bits.
-    indices = finite_listing([F(MAX_POWER_BITS - 1), F(MAX_POWER_BITS)]).listing()
+    indices = finite_listing([F(MAX_POWER_BITS - 1), F(MAX_POWER_BITS)])
     ls = builtin_dyadic(indices).listing()
     assert ls.value_at(0) == F(1, 2 ** (MAX_POWER_BITS - 1))
     with pytest.raises(ValueError, match=f"exceeds the {MAX_POWER_BITS}-bit cap"):

@@ -49,15 +49,10 @@ def test_writer_refuses_what_a_report_cannot_hold():
         _json_text({"pair": (1, 2)})
 
 
-def _type2_report():
-    pair = experiments.search_pair(resolve_family("A:1"), resolve_family("A:2"), 2, 2, 50)
-    return experiments.ReproReport("type2", {"m_max": 2, "n_max": 2, "prefix": 50}, [pair])
-
-
 @pytest.mark.parametrize(
     "make_report",
     [
-        _type2_report,
+        lambda: experiments.run_type2(resolve_family("A:1"), resolve_family("A:2"), 2, 2, 50),
         lambda: experiments.run_theorem9(3, 2, 2, 60),
         lambda: experiments.run_lemma5(schedule=[20, 40]),
         experiments.run_examples,
