@@ -37,9 +37,7 @@ from .ordertype import (
     Descriptor,
     Direction,
     Fin,
-    Refuted,
     block_signature,
-    normalize,
     refute_type2,
 )
 from .rational import format_rational, parse_rational

@@ -193,9 +193,6 @@ class Cell:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    m_max: int
-    n_max: int
-    prefix: int
     cells: tuple[Cell, ...]
 
     def all_witnessed(self) -> bool:
@@ -232,7 +229,7 @@ def search_shift_witnesses(
         for n in range(n_max + 1):
             witness = _cell_witness(hs, gs, m, n, length, length + m_max)
             cells.append(Cell(m, n, witness))
-    return WitnessReport(m_max, n_max, length, tuple(cells))
+    return WitnessReport(tuple(cells))
 
 
 # ---------------------------------------------------------------------------

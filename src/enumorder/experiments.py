@@ -115,12 +115,12 @@ def _descriptor_text(spec: SetSpec) -> str | None:
 
 
 def _pair_outcome(spec_a: SetSpec, spec_b: SetSpec, cells: list[Cell]) -> PairOutcome:
-    refuted = refute_type2(spec_a, spec_b)
+    reason = refute_type2(spec_a, spec_b)
     return PairOutcome(
         spec_a.name,
         spec_b.name,
-        "unknown" if refuted is None else "refuted",
-        None if refuted is None else refuted.reason,
+        "unknown" if reason is None else "refuted",
+        reason,
         cells,
         left_descriptor=_descriptor_text(spec_a),
         right_descriptor=_descriptor_text(spec_b),

@@ -1,12 +1,12 @@
 """Deterministic injective streams of rationals and the built-in families.
 
 A listing is a replay-deterministic stream with a memoized prefix: asking for
-index ``k`` twice yields the identical value, and all produced values are
-pairwise distinct (duplicates from the raw generator are skipped, first
-occurrence wins). A :class:`SetSpec` packages a pure stream factory — the
-set's natural enumeration order — together with an optional order-type
-descriptor and an optional gap oracle deciding whether the set meets a given
-open interval.
+index ``k`` twice yields the identical value, or raises the identical error
+where the stream raised one, and all produced values are pairwise distinct
+(duplicates from the raw generator are skipped, first occurrence wins). A
+:class:`SetSpec` packages a pure stream factory — the set's natural
+enumeration order — together with an optional order-type descriptor and an
+optional gap oracle deciding whether the set meets a given open interval.
 
 A ``Listing`` owns mutable iterator state and is single-owner: hand it off
 between threads, but do not mutate it from two at once. Fresh independent
@@ -30,7 +30,6 @@ from .ordertype import (
     Descriptor,
     Fin,
     block_signature,
-    normalize,
 )
 from .rational import format_rational
 
@@ -68,6 +67,18 @@ class NonNaturalIndexError(ValueError):
 
 class DuplicateValuesError(ValueError):
     """A value list that must be duplicate-free contains repeats."""
+
+
+class _Failed:
+    """Stands in for a stream that raised: every later draw raises the same
+    error, so the index where the stream failed keeps failing."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+        self.traceback = error.__traceback__
+
+    def __next__(self) -> Fraction:
+        raise self.error.with_traceback(self.traceback)
 
 
 class Listing:
@@ -134,6 +145,9 @@ class Listing:
             except ListingCutOff:
                 self._cut_off = True
                 break
+            except Exception as error:
+                self._stream = _Failed(error)
+                raise
             key = (value.numerator, value.denominator)
             if key in self._seen:
                 run += 1
@@ -357,7 +371,7 @@ def build_A(i: int) -> SetSpec:
         raise ValueError(f"family index must be >= 1, got {i}")
     blocks = [build_T(s) for s in range(1, i + 1)]
     base = interleave(blocks)
-    descriptor = normalize(Concat(tuple(b.descriptor for b in blocks)))
+    descriptor = Concat(tuple(b.descriptor for b in blocks))
     return SetSpec(f"A:{i}", base.make_stream, descriptor, base.gap_oracle)
 
 
@@ -425,7 +439,7 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
         # With a < b, (lo, hi) meets [a, b] iff its clipped ends stay in order.
         return (a if lo is None else max(lo, a)) < (b if hi is None else min(hi, b))
 
-    return SetSpec(name, stream, Dense(True, True), oracle)
+    return SetSpec(name, stream, Dense(), oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class RationalParseError(ValueError):
     """Text does not match the ``p/q`` form."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 # Integers up to this many bits (about 3,900 digits) convert in one step.
 _DIRECT_BITS = 13_000

@@ -182,9 +182,9 @@ def _tokenize(text: str) -> list[_Token]:
             while pos < size and text[pos] != "\n":
                 pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(_Token("int", text[start:pos], start))
             continue

@@ -548,6 +548,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         ["list", f"seq:{tmp_path}/missing.seq"],
         ["list", f"dyadic:{tmp_path}"],
         ["list", "T:0"],
+        ["list", "finite:١/٢"],
         ["check", "harmonic", "interval:2,1"],
         ["match", "harmonic+shift=-1", "thirds"],
     ):

@@ -115,7 +115,7 @@ def search_by_cells(h, g, m_max, n_max, length):
         for m in range(m_max + 1)
         for n in range(n_max + 1)
     ]
-    return WitnessReport(m_max, n_max, length, tuple(cells))
+    return WitnessReport(tuple(cells))
 
 
 @oracle_settings

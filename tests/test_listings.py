@@ -29,7 +29,7 @@ from enumorder.listings import (
     shift_spec,
 )
 from enumorder.ordertype import Fin
-from enumorder.seqlang import parse, seq_spec
+from enumorder.seqlang import EvalDivisionByZero, parse, seq_spec
 
 from helpers import minus_finite_oracle_eager, rationals, shift, spec_factories
 
@@ -482,6 +482,31 @@ def test_dedup_run_limit_counts_only_consecutive_duplicates():
     with pytest.raises(ListingExhausted, match="ended after 3 values"):
         ls.value_at(3)
     assert not ls.is_cut_off()
+
+
+def test_a_stream_error_recurs_at_the_same_index():
+    def stream():
+        yield F(1)
+        yield F(2)
+        raise ValueError("boom")
+
+    def seq_listing():
+        return seq_spec(parse("1/(n-3)"), 1, "seq:1/(n-3)").listing()
+
+    # Left to itself, a generator that raised reads as ended afterwards, and
+    # the map stream of a .seq definition goes on to the values past the error.
+    for make, error, message in [
+        (lambda: Listing(stream()), ValueError, "boom"),
+        (seq_listing, EvalDivisionByZero, r"division by zero at \(i=1, n=3\)"),
+        (lambda: interleave([SetSpec("boom", stream)]).listing(), ValueError, "boom"),
+    ]:
+        ls = make()
+        for read in (lambda: ls.prefix(5), lambda: ls.value_at(2), lambda: list(ls)):
+            with pytest.raises(error, match=message):
+                read()
+        assert ls.try_prefix(2) == make().try_prefix(2)
+        with pytest.raises(error, match=message):
+            ls.try_prefix(3)
 
 
 # --- gap oracles of finite deletions ------------------------------------------------

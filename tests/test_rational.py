@@ -25,7 +25,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_bad_text():
-    for bad in ("", "x", "1/2/3", "1.5", "2/-3"):
+    for bad in ("", "x", "1/2/3", "1.5", "2/-3", "١/٢", "1/²"):
         with pytest.raises(RationalParseError):
             parse_rational(bad)
     with pytest.raises(ZeroDenominatorError):

@@ -66,9 +66,11 @@ def test_parse_error_carries_offset_and_expected():
 
 
 def test_parse_error_on_unknown_character():
-    with pytest.raises(SeqSyntaxError) as failure:
-        parse("1 @ 2")
-    assert failure.value.offset == 2
+    # Only the ASCII digits 0-9 make an int, as the grammar says.
+    for text, offset in (("1 @ 2", 2), ("n^²", 2), ("٣*n", 0)):
+        with pytest.raises(SeqSyntaxError) as failure:
+            parse(text)
+        assert failure.value.offset == offset, text
 
 
 def test_power_at_the_degree_cap_parses():
