@@ -58,10 +58,11 @@ class FamilyRefError(ValueError):
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+    """An optionally signed run of ASCII digits; ``int`` alone would also
+    take underscores, spaces and other scripts' digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _values(text: str, separator: str) -> list[Fraction]:
@@ -144,6 +145,17 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+# Writers of the scalars a report holds, by exact type, so that a dict or
+# list member that is a scalar is written without a call of the writer.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json_text(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for what reports hold:
     dicts with str keys, lists, str, int, finite float, bool and None.
@@ -153,30 +165,24 @@ def _json_text(value: object, indent: str = "\n") -> str:
     is the line break and indentation of the line the value starts on, where
     a container's closing bracket goes.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
+    write = _SCALAR_TEXT.get(type(value))
+    if write is not None:
+        return write(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            encode_basestring_ascii(k) + ": " + _json_text(value[k], inner) for k in sorted(value)
+            encode_basestring_ascii(k)
+            + ": "
+            + (w(v) if (w := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner))
+            for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_json_text(v, inner) for v in value]
+        items = [w(v) if (w := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"not a report value: {type(value).__name__}")
 
@@ -316,12 +322,17 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def _natural(text: str) -> int:
-    """Argument type of the count and bound options: an integer >= 0."""
+def _integer(text: str) -> int:
+    """Argument type of ``--imax``: an integer, as a family index takes it."""
     try:
-        value = int(text)
+        return _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _natural(text: str) -> int:
+    """Argument type of the count and bound options: an integer >= 0."""
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -374,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("repro", help="run a scripted experiment, emit a JSON report")
     p_repro.add_argument("name")
-    p_repro.add_argument("--imax", type=int, default=5)
+    p_repro.add_argument("--imax", type=_integer, default=5)
     p_repro.add_argument("--mmax", type=_natural, default=experiments.DEFAULT_M_MAX)
     p_repro.add_argument("--nmax", type=_natural, default=experiments.DEFAULT_N_MAX)
     p_repro.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)

@@ -313,22 +313,21 @@ def build_T(i: int) -> SetSpec:
     """Block family member ``i``: values (i-1) + (n-1)/n over n = 1, 2, ...
     when ``i`` is odd (ascending, inside [i-1, i)), and i - (n-1)/n when
     ``i`` is even (descending, inside (i-1, i]).
+
+    Each value is drawn from its closed form, (i*n - 1)/n for odd ``i`` and
+    ((i-1)*n + 1)/n for even ``i``; both numerators are coprime to n.
     """
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
-    if i % 2:
-
-        def stream() -> Iterator[Fraction]:
-            for n in count(1):
-                yield (i - 1) + Fraction(n - 1, n)
-
-        # {(i-1) + (n-1)/n} == {i - 1/n}
-        return SetSpec(f"T:{i}", stream, OMEGA, _reciprocal_oracle(Fraction(i), -1))
+    a, b = (i, -1) if i % 2 else (i - 1, 1)
 
     def stream() -> Iterator[Fraction]:
         for n in count(1):
-            yield i - Fraction(n - 1, n)
+            yield Fraction(a * n + b, n)
 
+    if i % 2:
+        # {(i-1) + (n-1)/n} == {i - 1/n}
+        return SetSpec(f"T:{i}", stream, OMEGA, _reciprocal_oracle(Fraction(i), -1))
     # {i - (n-1)/n} == {(i-1) + 1/n}
     return SetSpec(f"T:{i}", stream, OMEGA_STAR, _reciprocal_oracle(Fraction(i - 1), +1))
 
@@ -339,6 +338,9 @@ def interleave(specs: Sequence[SetSpec]) -> SetSpec:
     Inputs that end drop out of the rotation; one that is cut off cuts the
     union off there. Duplicate values across inputs are skipped by the
     listing layer, so the result stays injective even when ranges overlap.
+    The built-in union families list their blocks without it (see
+    :func:`build_A`); it serves composed unions such as theorem5's
+    ``interleave(A:i, T:i+1)``.
     """
     if not specs:
         raise ValueError("interleave needs at least one input")
@@ -364,15 +366,29 @@ def build_A(i: int) -> SetSpec:
     """Union of the first ``i`` block families under strict round-robin.
 
     The natural listing rotates T:1, T:2, ..., T:i, T:1, ... so every block
-    appears with density 1/i. Consecutive even/odd blocks share their integer
-    boundary value; the shared value is listed once.
+    appears with density 1/i: round n lists each block's n-th value, drawn
+    from the blocks' closed-form streams. Consecutive even/odd blocks share
+    their integer boundary: for each odd s >= 3, T:s's first value s-1 is
+    also T:(s-1)'s first value, so round 1 skips it. No other value repeats,
+    so the raw stream is already injective.
     """
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
     blocks = [build_T(s) for s in range(1, i + 1)]
-    base = interleave(blocks)
+
+    def stream() -> Iterator[Fraction]:
+        rounds = zip(*(b.make_stream() for b in blocks))
+        first = next(rounds)
+        # T:1's first value, then each even block's; the odd blocks skipped
+        # sit at the even offsets beyond 0.
+        yield first[0]
+        yield from first[1::2]
+        for values in rounds:
+            yield from values
+
     descriptor = Concat(tuple(b.descriptor for b in blocks))
-    return SetSpec(f"A:{i}", base.make_stream, descriptor, base.gap_oracle)
+    oracle = _union_oracle([b.gap_oracle for b in blocks])
+    return SetSpec(f"A:{i}", stream, descriptor, oracle)
 
 
 # ---------------------------------------------------------------------------

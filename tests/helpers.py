@@ -298,6 +298,24 @@ def shift(h, m):
     return Listing(islice(h, m, None))
 
 
+# The block and union builders that the closed forms replaced, kept as their
+# oracles: a running Fraction sum per value, and a union that interleaves the
+# block listings and lets the listing layer skip the shared boundaries.
+def build_T_by_addition(i):
+    """T:i's listing as (i-1) + (n-1)/n for odd i and i - (n-1)/n for even i."""
+
+    def stream():
+        for n in count(1):
+            yield (i - 1) + Fraction(n - 1, n) if i % 2 else i - Fraction(n - 1, n)
+
+    return SetSpec(f"T:{i}", stream)
+
+
+def build_A_by_interleave(i):
+    """A:i's listing as the round robin of T:1 .. T:i, repeats skipped."""
+    return interleave([build_T_by_addition(s) for s in range(1, i + 1)])
+
+
 def _height_block(h):
     """Positive rationals of height ``h``, by denominator then numerator."""
     out = []

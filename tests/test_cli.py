@@ -125,6 +125,12 @@ def test_list_text(capsys):
     assert out.strip() == "0, 1/2, 2/3"
 
 
+def test_list_union_family(capsys):
+    code, out, err = run(capsys, "list", "A:5", "--count", "12")
+    assert code == 0
+    assert out.strip() == "0, 2, 4, 1/2, 3/2, 5/2, 7/2, 9/2, 2/3, 4/3, 8/3, 10/3"
+
+
 def test_list_truncation_notice(capsys):
     code, out, err = run(capsys, "list", "finite:3,1/2", "--count", "5")
     assert code == 0
@@ -520,6 +526,27 @@ def test_non_integer_count_is_usage_error(capsys):
     code, out, err = run(capsys, "list", "harmonic", "--count", "x")
     assert code == 1
     assert "invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("ref", ["A:1_0", "T:\u0663"])
+def test_family_index_takes_only_ascii_digits(capsys, ref):
+    code, out, err = run(capsys, "list", ref, "--count", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: segment {ref!r}: not an integer: {ref[2:]!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "harmonic", "--count", "\u0663"],
+        ["check", "harmonic", "thirds", "--prefix", "1_0"],
+        ["repro", "theorem9", "--imax", "\u0663"],
+    ],
+)
+def test_integer_options_take_only_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument {argv[-2]}" in err and f"invalid int value: {argv[-1]!r}" in err
 
 
 def test_evaluation_error_is_one_line_message(tmp_path, capsys):

@@ -31,7 +31,14 @@ from enumorder.listings import (
 from enumorder.ordertype import Fin
 from enumorder.seqlang import EvalDivisionByZero, parse, seq_spec
 
-from helpers import minus_finite_oracle_eager, rationals, shift, spec_factories
+from helpers import (
+    build_A_by_interleave,
+    build_T_by_addition,
+    minus_finite_oracle_eager,
+    rationals,
+    shift,
+    spec_factories,
+)
 
 
 def F(*args):
@@ -151,6 +158,21 @@ def test_union_family_against_round_robin_oracle():
                     expected.append(v)
         got = build_A(i).listing().prefix(120)
         assert got == expected[:120]
+
+
+def test_closed_forms_list_what_the_predecessors_listed():
+    for i in range(1, 13):
+        assert build_T(i).listing().prefix(3000) == build_T_by_addition(i).listing().prefix(3000)
+        assert build_A(i).listing().prefix(3000) == build_A_by_interleave(i).listing().prefix(3000)
+
+
+@pytest.mark.parametrize("i", [2, 5, 10])
+def test_union_family_raw_stream_is_injective(i):
+    # Before any listing's dedup: round 1 alone skips the shared boundaries.
+    raw = islice(build_A(i).make_stream(), 20_000)
+    keys = [(v.numerator, v.denominator) for v in raw]
+    assert len(keys) == 20_000
+    assert len(set(keys)) == len(keys)
 
 
 def test_union_family_value_set_is_union_of_blocks():
