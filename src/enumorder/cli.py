@@ -273,11 +273,11 @@ def _cmd_type2(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
     report = experiments.run_type2(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
-    clean = [c for c in report.pairs[0].cells if c.witness is None]
+    clean = [c for c in report.pairs[0]["cells"] if c["witness"] is None]
     if args.format == "json":
         _emit(_report_json(report), args.out)
     elif clean:
-        cells = ", ".join(f"({c.m},{c.n})" for c in clean)
+        cells = ", ".join(f"({c['m']},{c['n']})" for c in clean)
         _emit(f"candidate shift pairs with no witness below {args.prefix}: {cells}", args.out)
     else:
         _emit(f"every shift pair has a witness below {args.prefix}", args.out)
@@ -287,7 +287,7 @@ def _cmd_type2(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
-    outcome = match_listing(spec_a.listing(), spec_b, args.prefix, args.fuel)
+    outcome = match_listing(spec_a, spec_b, args.prefix, args.fuel)
     if isinstance(outcome, MatchSuccess):
         print(", ".join(format_rational(v) for v in outcome.values))
         print(f"matched {len(outcome.values)} values using {outcome.drawn} draws")
@@ -296,7 +296,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         lo = "-inf" if outcome.lo is None else format_rational(outcome.lo)
         hi = "+inf" if outcome.hi is None else format_rational(outcome.hi)
         print(f"gap empty at step {outcome.step}: ({lo}, {hi}) — {outcome.detail}")
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE if outcome.refutes else EXIT_INCONCLUSIVE
     print(f"fuel exhausted at step {outcome.step} after {outcome.drawn} draws")
     if outcome.cut_off:
         print(

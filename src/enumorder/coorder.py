@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec, in_gap
+from .ordertype import Direction, block_signature
 
 
 @dataclass(frozen=True)
@@ -254,13 +255,19 @@ class MatchSuccess:
 
 @dataclass(frozen=True)
 class GapEmpty:
-    """Sound refutation for this input listing: the required open gap holds
-    no usable element of the target."""
+    """The open gap a step needs holds no usable element of the target.
+
+    ``refutes`` marks a sound refutation: no listing of the whole target is
+    co-ordered with the input's whole listing (such a pair of listings is an
+    order isomorphism). So it refutes when the target is finite and smaller
+    than the prefix, or when the input's set is an ω (ω*) and the gap is
+    unbounded above (below), past a target maximum (minimum) that ω (ω*)
+    lacks. Any other empty gap was fixed by the earlier picks, not the sets."""
 
     step: int
     lo: Fraction | None
     hi: Fraction | None
-    partial: tuple[Fraction, ...]
+    refutes: bool
     detail: str
 
 
@@ -271,7 +278,6 @@ class FuelExhausted:
     so the target may still hold more values than were drawn."""
 
     step: int
-    partial: tuple[Fraction, ...]
     drawn: int
     cut_off: bool
 
@@ -289,10 +295,12 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
     the input values still to come on that side of h(k) inside its input
     gap. On integer ranks both counts are rank differences (no placed value
     lies inside a gap), so the feasible picks are one rank window. Every
-    other gap passed at the previous step and is unchanged.
+    other gap passed at the previous step and is unchanged, so once the
+    pool holds as many values as the pattern, no window is ever empty.
     """
+    if len(pool) < len(h_ranks):
+        return GapEmpty(0, None, None, True, "target exhausted; no usable element in gap")
     pool_ranks = _ranks(pool)
-    by_rank = sorted(pool)
     placed: list[int] = []  # input ranks placed so far, ascending
     matched: list[int] = []  # pool ranks of the picks, ascending alongside
     chosen: list[Fraction] = []
@@ -302,13 +310,7 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
         h_lo, g_lo = (placed[t - 1], matched[t - 1]) if t else (-1, -1)
         h_hi, g_hi = (placed[t], matched[t]) if t < k else (len(h_ranks), len(pool))
         first, last = g_lo + (r - h_lo), g_hi - (h_hi - r)
-        pick = next((p for p, q in enumerate(pool_ranks) if first <= q <= last), None)
-        if pick is None:
-            lo = by_rank[g_lo] if t else None
-            hi = by_rank[g_hi] if t < k else None
-            return GapEmpty(
-                k, lo, hi, tuple(chosen), "target exhausted; no usable element in gap"
-            )
+        pick = next(p for p, q in enumerate(pool_ranks) if first <= q <= last)
         placed.insert(t, r)
         matched.insert(t, pool_ranks[pick])
         chosen.append(pool[pick])
@@ -317,9 +319,10 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
 
 
 def match_listing(
-    h: Listing, target: SetSpec, prefix_len: int, fuel: int
+    h: SetSpec, target: SetSpec, prefix_len: int, fuel: int
 ) -> MatchOutcome:
-    """Greedily build a listing prefix of ``target`` co-ordered with ``h``.
+    """Greedily build a listing prefix of ``target`` co-ordered with the
+    listing of ``h``.
 
     At step k the value h(k) ranks somewhere among h(0..k-1); the pick must
     land strictly inside the open gap between the corresponding already
@@ -331,9 +334,11 @@ def match_listing(
     most ``fuel`` values in all: a step scans the values already drawn and
     draws more only when none fits, stopping at the first new value that
     does. If no value within fuel fits, a gap oracle may still certify the
-    gap empty (a sound refutation for this ``h``); failing that the outcome
-    is an inconclusive :class:`FuelExhausted` after the full fuel, or after
-    a cut-off by the duplicate limit.
+    gap empty. That refutes only where ``h``'s descriptor is a lone ``W``
+    (``W*``) block and the gap is unbounded above (below); elsewhere the
+    picks fixed the gap (see :class:`GapEmpty`). Without the oracle the
+    outcome is an inconclusive :class:`FuelExhausted` after the full fuel,
+    or after a cut-off by the duplicate limit.
 
     When the target's stream ends within fuel, its full content is known,
     and the match restarts from step 0 with every pick checked against the
@@ -342,7 +347,9 @@ def match_listing(
     run would have: each first-fit pick is feasible, as its own completion
     shows.
     """
-    h_ranks = _ranks(h.try_prefix(prefix_len))
+    h_ranks = _ranks(h.listing().try_prefix(prefix_len))
+    signature = block_signature(h.descriptor)
+    omega, omega_star = signature == [Direction.ASC], signature == [Direction.DESC]
     walk = iter(target.listing())
     pool: list[Fraction] = []
     placed: list[int] = []  # input ranks placed so far, ascending
@@ -368,8 +375,12 @@ def match_listing(
                 pick = len(pool) - 1
         if pick is None:
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
-                return GapEmpty(k, lo, hi, tuple(chosen), "gap oracle certifies the gap empty")
-            return FuelExhausted(k, tuple(chosen), len(pool), cut_off)
+                refutes = (omega and hi is None) or (omega_star and lo is None)
+                detail = "gap oracle certifies the gap empty"
+                if not refutes:
+                    detail += "; the earlier picks fixed this gap, so nothing is refuted"
+                return GapEmpty(k, lo, hi, refutes, detail)
+            return FuelExhausted(k, len(pool), cut_off)
         placed.insert(t, r)
         matched.insert(t, pool[pick])
         chosen.append(pool[pick])

@@ -46,25 +46,10 @@ DEFAULT_GROWTH_SCHEDULE = (50, 100, 200, 400)
 
 
 @dataclass
-class PairOutcome:
-    left: str
-    right: str
-    verdict: str  # "refuted" | "unknown"
-    reason: str | None
-    cells: list[Cell]
-    left_descriptor: str | None = None
-    right_descriptor: str | None = None
-    growth: list[dict] | None = None
-
-    def all_witnessed(self) -> bool:
-        return all(cell.witness is not None for cell in self.cells)
-
-
-@dataclass
 class ReproReport:
     experiment: str
     params: dict
-    pairs: list[PairOutcome]
+    pairs: list[dict]
     fixtures: dict = field(default_factory=dict)
     passed: bool = False
     elapsed_seconds: float = 0.0
@@ -73,7 +58,7 @@ class ReproReport:
         return {
             "experiment": self.experiment,
             "params": self.params,
-            "pairs": [_pair_json(p) for p in self.pairs],
+            "pairs": self.pairs,
             "fixtures": self.fixtures,
             "passed": self.passed,
             "timing": {"elapsed_seconds": self.elapsed_seconds},
@@ -93,44 +78,34 @@ def _witness_json(w: WitnessPair | None) -> dict | None:
     }
 
 
-def _pair_json(pair: PairOutcome) -> dict:
-    out = {
-        "left": pair.left,
-        "right": pair.right,
-        "left_descriptor": pair.left_descriptor,
-        "right_descriptor": pair.right_descriptor,
-        "descriptor_verdict": pair.verdict,
-        "reason": pair.reason,
-        "cells": [
-            {"m": c.m, "n": c.n, "witness": _witness_json(c.witness)} for c in pair.cells
-        ],
-    }
-    if pair.growth is not None:
-        out["growth"] = pair.growth
-    return out
-
-
 def _descriptor_text(spec: SetSpec) -> str | None:
     return None if spec.descriptor is None else format_descriptor(spec.descriptor)
 
 
-def _pair_outcome(spec_a: SetSpec, spec_b: SetSpec, cells: list[Cell]) -> PairOutcome:
+def _pair(spec_a: SetSpec, spec_b: SetSpec, cells: Sequence[Cell]) -> dict:
+    """One pair as the report schema writes it: the descriptor verdict
+    beside the witness cells."""
     reason = refute_type2(spec_a, spec_b)
-    return PairOutcome(
-        spec_a.name,
-        spec_b.name,
-        "unknown" if reason is None else "refuted",
-        reason,
-        cells,
-        left_descriptor=_descriptor_text(spec_a),
-        right_descriptor=_descriptor_text(spec_b),
-    )
+    return {
+        "left": spec_a.name,
+        "right": spec_b.name,
+        "left_descriptor": _descriptor_text(spec_a),
+        "right_descriptor": _descriptor_text(spec_b),
+        "descriptor_verdict": "unknown" if reason is None else "refuted",
+        "reason": reason,
+        "cells": [{"m": c.m, "n": c.n, "witness": _witness_json(c.witness)} for c in cells],
+    }
+
+
+def _witnessed(pair: dict) -> bool:
+    """Does every cell of the pair hold a witness?"""
+    return all(cell["witness"] is not None for cell in pair["cells"])
 
 
 def _report(
     experiment: str,
     params: dict,
-    run: Callable[[], tuple[list[PairOutcome], bool, dict]],
+    run: Callable[[], tuple[list[dict], bool, dict]],
 ) -> ReproReport:
     """The report of one run: ``run`` returns its pairs, whether it passed,
     and its fixtures; ``elapsed_seconds`` is the time ``run`` took."""
@@ -147,11 +122,11 @@ def _union_params(i_max: int, m_max: int, n_max: int, prefix: int) -> dict:
 
 def search_pair(
     spec_a: SetSpec, spec_b: SetSpec, m_max: int, n_max: int, prefix: int
-) -> PairOutcome:
+) -> dict:
     """Minimal witness per shift cell for one pair, beside its descriptor
     verdict."""
     report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, prefix)
-    return _pair_outcome(spec_a, spec_b, list(report.cells))
+    return _pair(spec_a, spec_b, report.cells)
 
 
 def run_type2(
@@ -160,9 +135,9 @@ def run_type2(
     """One pair's shift search; the run passes when some cell is a
     candidate, i.e. has no witness below the bound."""
 
-    def run() -> tuple[list[PairOutcome], bool, dict]:
+    def run() -> tuple[list[dict], bool, dict]:
         pair = search_pair(spec_a, spec_b, m_max, n_max, prefix)
-        return [pair], not pair.all_witnessed(), {}
+        return [pair], not _witnessed(pair), {}
 
     return _report("type2", {"m_max": m_max, "n_max": n_max, "prefix": prefix}, run)
 
@@ -180,12 +155,13 @@ def run_theorem9(
     """
     params = _union_params(i_max, m_max, n_max, prefix)
 
-    def run() -> tuple[list[PairOutcome], bool, dict]:
+    def run() -> tuple[list[dict], bool, dict]:
         pairs = []
         for i in range(1, i_max + 1):
             for j in range(i + 1, i_max + 1):
                 pairs.append(search_pair(build_A(i), build_A(j), m_max, n_max, prefix))
-        return pairs, all(p.verdict == "refuted" and p.all_witnessed() for p in pairs), {}
+        passed = all(p["descriptor_verdict"] == "refuted" and _witnessed(p) for p in pairs)
+        return pairs, passed, {}
 
     return _report("theorem9", params, run)
 
@@ -203,13 +179,13 @@ def run_theorem5(
     """
     params = _union_params(i_max, m_max, n_max, prefix)
 
-    def run() -> tuple[list[PairOutcome], bool, dict]:
+    def run() -> tuple[list[dict], bool, dict]:
         base = build_A(1)
         pairs = []
         for i in range(1, i_max):
             left = interleave([build_A(i), build_T(i + 1)])
             pairs.append(search_pair(left, base, m_max, n_max, prefix))
-        return pairs, all(p.all_witnessed() for p in pairs), {}
+        return pairs, all(map(_witnessed, pairs)), {}
 
     return _report("theorem5", params, run)
 
@@ -222,16 +198,17 @@ def run_examples() -> ReproReport:
     co-ordered; the unit-interval listing reaches 1/2 among its first values.
     """
 
-    def run() -> tuple[list[PairOutcome], bool, dict]:
+    def run() -> tuple[list[dict], bool, dict]:
         harmonic, thirds = builtin_harmonic(), builtin_thirds()
         witness = prefix_coorder(harmonic.listing(), thirds.listing(), 10)
-        pair = _pair_outcome(harmonic, thirds, [Cell(0, 0, witness)])
+        pair = _pair(harmonic, thirds, [Cell(0, 0, witness)])
+        refuted = pair["descriptor_verdict"] == "refuted"
 
         finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
         finite_b = [Fraction(-1), Fraction(0), Fraction(7)]
         fixtures = {
             "finite_equal_cardinality_coorder": finite_coorder(finite_a, finite_b),
-            "recursive_pair_refuted": pair.verdict == "refuted" and witness is not None,
+            "recursive_pair_refuted": refuted and witness is not None,
             "interval_first_values_contain_half": Fraction(1, 2)
             in rationals_in_interval(Fraction(0), Fraction(1)).listing().prefix(5),
         }
@@ -245,15 +222,15 @@ def witness_growth(
     spec_b: SetSpec,
     shifts: Sequence[tuple[int, int]],
     schedule: Sequence[int],
-) -> PairOutcome:
+) -> dict:
     """Sizes of the witness-pair index projections along a prefix schedule.
 
     Requires the pair to be descriptor-refuted; for such pairs the projected
     index sets keep growing, and the recorded counts make that visible at
     desk scale.
     """
-    outcome = _pair_outcome(spec_a, spec_b, [])
-    if outcome.verdict != "refuted":
+    pair = _pair(spec_a, spec_b, [])
+    if pair["descriptor_verdict"] != "refuted":
         raise ValueError(
             f"{spec_a.name} vs {spec_b.name} is not descriptor-refuted; "
             "growth evidence needs a refuted pair"
@@ -273,8 +250,8 @@ def witness_growth(
             for t in range(len(counts) - 1)
         )
         growth.append({"m": m, "n": n, "counts": counts, "strictly_increasing": increasing})
-    outcome.growth = growth
-    return outcome
+    pair["growth"] = growth
+    return pair
 
 
 def run_lemma5(
@@ -283,15 +260,13 @@ def run_lemma5(
 ) -> ReproReport:
     """Growth evidence for the two stock refuted pairs."""
 
-    def run() -> tuple[list[PairOutcome], bool, dict]:
+    def run() -> tuple[list[dict], bool, dict]:
         stock = [
             (builtin_harmonic(), builtin_thirds()),
             (build_A(1), build_A(2)),
         ]
         pairs = [witness_growth(a, b, shifts, schedule) for a, b in stock]
-        passed = all(
-            entry["strictly_increasing"] for p in pairs for entry in (p.growth or [])
-        )
+        passed = all(entry["strictly_increasing"] for p in pairs for entry in p["growth"])
         return pairs, passed, {}
 
     params = {"shifts": [[m, n] for m, n in shifts], "schedule": list(schedule)}

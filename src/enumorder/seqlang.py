@@ -36,7 +36,6 @@ it either ends with an unguarded or ``otherwise`` clause, or contains both
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -384,13 +383,6 @@ def parse(text: str) -> SequenceExpr:
 # at (i, n) as a (numerator, denominator) pair reduced as Fraction reduces its
 # own arithmetic: lowest terms, positive denominator, so the power cap reads the
 # reduced base. Left operands go first: when both sides fail, the same error wins.
-# The final Fraction skips the gcd that Fraction(p, q) would repeat, through the
-# constructor fractions keeps private (it differs by version), else the public one.
-try:
-    Fraction(1, 1, _normalize=False)  # Python 3.10 and 3.11
-    _coprime = functools.partial(Fraction, _normalize=False)
-except TypeError:
-    _coprime = getattr(Fraction, "_from_coprime_ints", Fraction)  # Python 3.12+
 
 
 def _add(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -464,7 +456,7 @@ def compile_definition(expr: SequenceExpr) -> Callable[[int, int], Fraction]:
     def value(i: int, n: int) -> Fraction:
         for accepts, body in cases:
             if accepts(i, n):
-                return _coprime(*body(i, n))
+                return Fraction(*body(i, n))
         raise RuntimeError("piecewise dispatch fell through a total clause list")
 
     return value

@@ -33,6 +33,7 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
+from enumorder.ordertype import Direction, block_signature
 from enumorder.rational import format_rational
 from enumorder.seqlang import (
     MAX_POWER_BITS,
@@ -252,8 +253,10 @@ def exact_feasible(hv, k, chosen, candidate, pool, used, pick_index):
 def match_listing_eager(h, target, prefix_len, fuel):
     """Matcher oracle: draws ``fuel`` target values before the first pick,
     scans every chosen value for the gap bounds, and checks every gap of
-    every in-gap candidate when the draw showed the target's end."""
-    hv = h.try_prefix(prefix_len)
+    every in-gap candidate when the draw showed the target's end. An empty
+    gap refutes when the target is exhausted, or when ``h``'s set is an ω
+    (ω*) and nothing of the target lies above (below) the gap's bound."""
+    hv = h.listing().try_prefix(prefix_len)
     target_listing = target.listing()
     pool = target_listing.try_prefix(fuel)
     # A short draw means the listing ended or was cut off.
@@ -281,12 +284,16 @@ def match_listing_eager(h, target, prefix_len, fuel):
             break
         if pick is None:
             if exhausted:
-                return GapEmpty(
-                    k, lo, hi, tuple(chosen), "target exhausted; no usable element in gap"
-                )
+                return GapEmpty(k, lo, hi, True, "target exhausted; no usable element in gap")
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
-                return GapEmpty(k, lo, hi, tuple(chosen), "gap oracle certifies the gap empty")
-            return FuelExhausted(k, tuple(chosen), len(pool), target_listing.is_cut_off())
+                unbounded_end = {Direction.ASC: hi, Direction.DESC: lo}
+                signature = block_signature(h.descriptor) or []
+                refutes = len(signature) == 1 and unbounded_end[signature[0]] is None
+                detail = "gap oracle certifies the gap empty"
+                if not refutes:
+                    detail += "; the earlier picks fixed this gap, so nothing is refuted"
+                return GapEmpty(k, lo, hi, refutes, detail)
+            return FuelExhausted(k, len(pool), target_listing.is_cut_off())
         used[pick] = True
         chosen.append(pool[pick])
         picks.append(pick)

@@ -397,6 +397,24 @@ def test_match_gap_refutation(capsys):
     assert "gap empty" in out
 
 
+def test_match_gap_fixed_by_the_picks_is_inconclusive(capsys):
+    # 1 + ω + ω* ≅ ω + ω*, so A:2 ∪ {-5} has a listing co-ordered with A:2's;
+    # first-fit put h(0) = 0 on -5, and that pick left (-5, 0) empty.
+    code, out, err = run(
+        capsys, "match", "A:2", "A:2+add=-5", "--prefix", "20", "--fuel", "20000"
+    )
+    assert code == 3
+    assert out == (
+        "gap empty at step 2: (-5, 0) — gap oracle certifies the gap empty; "
+        "the earlier picks fixed this gap, so nothing is refuted\n"
+    )
+    # A:3 is no ω: the interval's maximum, first-fit's first pick, refutes nothing.
+    code, out, err = run(capsys, "match", "A:3", "interval:0,1", "--prefix", "20")
+    assert code == 3
+    assert out.startswith("gap empty at step 1: (1, +inf) — ")
+    assert "earlier picks fixed this gap" in out
+
+
 def test_match_finite_pair(capsys):
     code, out, err = run(
         capsys, "match", "finite:1,2", "finite:5,9", "--prefix", "2", "--fuel", "10"

@@ -20,6 +20,7 @@ from enumorder.listings import (
     DuplicateValuesError,
     ListingExhausted,
     SetSpec,
+    add_finite,
     build_A,
     build_T,
     builtin_harmonic,
@@ -275,7 +276,7 @@ def test_witness_values_satisfy_inequalities():
 def test_match_three_element_sets_all_listings():
     target = finite_listing([F(10), F(20), F(30)])
     for perm in itertools.permutations([F(1), F(2), F(3)]):
-        h = finite_listing(list(perm)).listing()
+        h = finite_listing(list(perm))
         outcome = match_listing(h, target, 3, 100)
         assert isinstance(outcome, MatchSuccess)
         rebuilt = finite_listing(list(outcome.values)).listing()
@@ -283,16 +284,27 @@ def test_match_three_element_sets_all_listings():
 
 
 def test_match_harmonic_into_thirds_refuted_at_step_one():
-    outcome = match_listing(builtin_harmonic().listing(), builtin_thirds(), 10, 1000)
-    assert isinstance(outcome, GapEmpty)
+    outcome = match_listing(builtin_harmonic(), builtin_thirds(), 10, 1000)
+    assert isinstance(outcome, GapEmpty) and outcome.refutes
     assert outcome.step == 1
     assert outcome.lo is None
     assert outcome.hi == F(0)
 
 
+def test_match_gap_fixed_by_the_picks_refutes_nothing():
+    # First-fit's picks, not the sets, leave these gaps empty: A:2 ∪ {-5} has
+    # a listing co-ordered with A:2's, as 1 + ω + ω* ≅ ω + ω*, and A:3 is no ω.
+    fixed = match_listing(build_A(2), add_finite(build_A(2), [F(-5)]), 20, 20000)
+    assert isinstance(fixed, GapEmpty)
+    assert (fixed.step, fixed.lo, fixed.hi, fixed.refutes) == (2, F(-5), F(0), False)
+    fixed = match_listing(build_A(3), rationals_in_interval(F(0), F(1)), 20, 10_000)
+    assert isinstance(fixed, GapEmpty)
+    assert (fixed.step, fixed.lo, fixed.hi, fixed.refutes) == (1, F(1), None, False)
+
+
 def test_match_harmonic_into_dense_interval():
     outcome = match_listing(
-        builtin_harmonic().listing(), rationals_in_interval(F(0), F(1)), 10, 1000
+        builtin_harmonic(), rationals_in_interval(F(0), F(1)), 10, 1000
     )
     assert isinstance(outcome, MatchSuccess)
     rebuilt = finite_listing(list(outcome.values)).listing()
@@ -301,7 +313,7 @@ def test_match_harmonic_into_dense_interval():
 
 def test_match_soundness_at_every_constructed_length():
     outcome = match_listing(
-        builtin_harmonic().listing(), rationals_in_interval(F(0), F(1)), 8, 2000
+        builtin_harmonic(), rationals_in_interval(F(0), F(1)), 8, 2000
     )
     assert isinstance(outcome, MatchSuccess)
     for k in range(1, 9):
@@ -313,9 +325,9 @@ def test_match_ascending_into_closed_interval_hits_right_endpoint():
     # The interval's maximum is listed first, so an ascending input is
     # soundly refuted once that maximum is consumed.
     outcome = match_listing(
-        builtin_thirds().listing(), rationals_in_interval(F(-1), F(1)), 8, 2000
+        builtin_thirds(), rationals_in_interval(F(-1), F(1)), 8, 2000
     )
-    assert isinstance(outcome, GapEmpty)
+    assert isinstance(outcome, GapEmpty) and outcome.refutes
     assert outcome.lo == F(1)
     assert outcome.hi is None
 
@@ -324,7 +336,7 @@ def test_match_draws_only_up_to_its_last_pick():
     # First-fit stops drawing at the first value that fits, so the last
     # value drawn is a pick; the eager matcher drew all 100,000.
     outcome = match_listing(
-        builtin_harmonic().listing(), rationals_in_interval(F(0), F(1)), 50, 100_000
+        builtin_harmonic(), rationals_in_interval(F(0), F(1)), 50, 100_000
     )
     assert isinstance(outcome, MatchSuccess)
     assert outcome.drawn == max(outcome.picks) + 1 == 755
@@ -335,14 +347,14 @@ def test_match_restarts_exactly_when_the_target_ends_within_fuel():
     # h(1) = 3. The stream's end shows the target is {1, 2}, so the rerun
     # checks feasibility and places h(0) at 1, leaving 2 above it.
     outcome = match_listing(
-        finite_listing([F(2), F(3)]).listing(), finite_listing([F(2), F(1)]), 2, 10
+        finite_listing([F(2), F(3)]), finite_listing([F(2), F(1)]), 2, 10
     )
     assert outcome == MatchSuccess((F(1), F(2)), (1, 0), 2)
 
 
 def test_match_without_oracle_is_inconclusive():
     bare = SetSpec("thirds-bare", builtin_thirds().make_stream)
-    outcome = match_listing(builtin_harmonic().listing(), bare, 10, 300)
+    outcome = match_listing(builtin_harmonic(), bare, 10, 300)
     assert isinstance(outcome, FuelExhausted)
     assert outcome.drawn == 300
 
@@ -356,7 +368,7 @@ def test_match_cut_off_target_is_not_refuted():
         yield from (F(n) for n in itertools.count(1))
 
     plateau = SetSpec("plateau", stream)
-    outcome = match_listing(finite_listing([F(1), F(2)]).listing(), plateau, 2, 20000)
+    outcome = match_listing(finite_listing([F(1), F(2)]), plateau, 2, 20000)
     assert isinstance(outcome, FuelExhausted)
     assert outcome.cut_off
     assert outcome.drawn == 1
@@ -364,14 +376,14 @@ def test_match_cut_off_target_is_not_refuted():
 
 def test_match_finite_pair_smaller_than_prefix_is_refuted():
     outcome = match_listing(
-        finite_listing([F(1), F(2), F(3)]).listing(), finite_listing([F(5), F(9)]), 3, 50
+        finite_listing([F(1), F(2), F(3)]), finite_listing([F(5), F(9)]), 3, 50
     )
-    assert isinstance(outcome, GapEmpty)
+    assert isinstance(outcome, GapEmpty) and outcome.refutes
 
 
 def test_match_trace_is_consistent():
     outcome = match_listing(
-        finite_listing([F(1), F(2)]).listing(), finite_listing([F(5), F(9)]), 2, 50
+        finite_listing([F(1), F(2)]), finite_listing([F(5), F(9)]), 2, 50
     )
     assert isinstance(outcome, MatchSuccess)
     assert outcome.values == (F(5), F(9))

@@ -24,11 +24,11 @@ def test_theorem9_minimal_run():
     assert report.passed
     assert len(report.pairs) == 1
     pair = report.pairs[0]
-    assert (pair.left, pair.right) == ("A:1", "A:2")
-    assert pair.verdict == "refuted"
-    assert pair.reason == "signature [ASC] != [ASC,DESC]"
-    assert len(pair.cells) == 16
-    assert pair.all_witnessed()
+    assert (pair["left"], pair["right"]) == ("A:1", "A:2")
+    assert pair["descriptor_verdict"] == "refuted"
+    assert pair["reason"] == "signature [ASC] != [ASC,DESC]"
+    assert len(pair["cells"]) == 16
+    assert all(cell["witness"] is not None for cell in pair["cells"])
 
 
 def test_theorem9_rejects_degenerate_request():
@@ -38,7 +38,7 @@ def test_theorem9_rejects_degenerate_request():
 
 def test_theorem9_covers_every_pair_once():
     report = run_theorem9(4, m_max=2, n_max=2, prefix=100)
-    labels = [(p.left, p.right) for p in report.pairs]
+    labels = [(p["left"], p["right"]) for p in report.pairs]
     expected = [
         (f"A:{i}", f"A:{j}") for i in range(1, 5) for j in range(i + 1, 5)
     ]
@@ -48,11 +48,11 @@ def test_theorem9_covers_every_pair_once():
 
 def test_theorem5_chain_steps():
     report = run_theorem5(3, m_max=2, n_max=2, prefix=150)
-    assert [p.left for p in report.pairs] == [
+    assert [p["left"] for p in report.pairs] == [
         "interleave(A:1,T:2)",
         "interleave(A:2,T:3)",
     ]
-    assert all(p.right == "A:1" for p in report.pairs)
+    assert all(p["right"] == "A:1" for p in report.pairs)
     assert report.passed
 
 
@@ -72,8 +72,8 @@ def test_theorem5_later_steps_enumerate_the_same_set():
 
 def test_theorem5_zero_shift_bound_reduces_to_single_cell():
     report = run_theorem5(2, m_max=0, n_max=0, prefix=60)
-    assert len(report.pairs[0].cells) == 1
-    assert report.pairs[0].cells[0].witness is not None
+    assert len(report.pairs[0]["cells"]) == 1
+    assert report.pairs[0]["cells"][0]["witness"] is not None
 
 
 def test_examples_fixture_suite():
@@ -85,21 +85,21 @@ def test_examples_fixture_suite():
         "interval_first_values_contain_half": True,
     }
     pair = report.pairs[0]
-    assert (pair.left, pair.right) == ("harmonic", "thirds")
-    assert pair.verdict == "refuted"
-    witness = pair.cells[0].witness
-    assert (witness.i, witness.j) == (0, 1)
+    assert (pair["left"], pair["right"]) == ("harmonic", "thirds")
+    assert pair["descriptor_verdict"] == "refuted"
+    witness = pair["cells"][0]["witness"]
+    assert (witness["i"], witness["j"]) == (0, 1)
 
 
 def test_growth_counts_match_witness_sets():
     outcome = witness_growth(
         builtin_harmonic(), builtin_thirds(), [(0, 0)], [3, 10, 20, 40]
     )
-    counts = outcome.growth[0]["counts"]
+    counts = outcome["growth"][0]["counts"]
     assert counts[0] == {"prefix": 3, "first_indices": 2, "second_indices": 2}
     sizes = [(c["first_indices"], c["second_indices"]) for c in counts]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
-    assert outcome.growth[0]["strictly_increasing"]
+    assert outcome["growth"][0]["strictly_increasing"]
 
 
 def test_growth_requires_refuted_pair():
@@ -109,13 +109,13 @@ def test_growth_requires_refuted_pair():
 
 def test_growth_empty_shift_list():
     outcome = witness_growth(builtin_harmonic(), builtin_thirds(), [], [10, 20])
-    assert outcome.growth == []
+    assert outcome["growth"] == []
 
 
 def test_lemma5_run_passes():
     report = run_lemma5(schedule=(20, 40, 80))
     assert report.passed
-    assert [(p.left, p.right) for p in report.pairs] == [
+    assert [(p["left"], p["right"]) for p in report.pairs] == [
         ("harmonic", "thirds"),
         ("A:1", "A:2"),
     ]
@@ -126,8 +126,8 @@ def test_cross_route_agreement():
     # witnesses in every cell.
     report = run_theorem9(3, m_max=4, n_max=4, prefix=120)
     for pair in report.pairs:
-        assert pair.verdict == "refuted"
-        assert pair.all_witnessed()
+        assert pair["descriptor_verdict"] == "refuted"
+        assert all(cell["witness"] is not None for cell in pair["cells"])
 
 
 def test_reports_are_deterministic():
