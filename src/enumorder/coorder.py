@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec, in_gap
+from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec
 from .ordertype import Direction, block_signature
 
 
@@ -58,27 +58,30 @@ class RankStream:
     at a head index 0..``heads``.
 
     ``ranks[m][d]`` is the insertion rank of value m + d among values
-    m..m+d-1. The stream keeps every drawn value in one sorted window of
-    (numerator, denominator) pairs. A new value t gets its rank G(t) among
-    values 0..t-1 by bisection, and the rank in the window from m is G(t)
-    minus #{k < m : value k < value t}, from at most ``heads`` comparisons
-    with the head values. Pairs compare by ``a * q < p * b``, which is exact:
-    a Fraction keeps lowest terms with a positive denominator.
+    m..m+d-1. Each drawn value is kept twice in listing order, as
+    ``values`` and as its (numerator, denominator) pair in ``keys``, and
+    its pair goes into one sorted window. A new value t gets its rank G(t)
+    among values 0..t-1 by bisection, and the rank in the window from m is
+    G(t) minus #{k < m : value k < value t}, from at most ``heads``
+    comparisons with the head values. Pairs compare by ``a * q < p * b``,
+    which is exact: a Fraction keeps lowest terms with a positive
+    denominator.
     """
 
     def __init__(self, listing: Listing, heads: int):
         self.listing = listing
         self.values: list[Fraction] = []
+        self.keys: list[tuple[int, int]] = []
         self.ranks: list[list[int]] = [[] for _ in range(heads + 1)]
         self._window: list[tuple[int, int]] = []
         self._heads: list[tuple[int, int]] = []
 
     def draw(self, t: int) -> None:
         """Draw and rank the values up to index t."""
-        window, heads, ranks = self._window, self._heads, self.ranks
-        while len(self.values) <= t:
-            value = self.listing.value_at(len(self.values))
-            p, q = value.numerator, value.denominator
+        window, heads, keys, ranks = self._window, self._heads, self.keys, self.ranks
+        while len(keys) <= t:
+            value = self.listing.value_at(len(keys))
+            key = p, q = value.numerator, value.denominator
             lo, hi = 0, len(window)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -87,13 +90,14 @@ class RankStream:
                     lo = mid + 1
                 else:
                     hi = mid
-            window.insert(lo, (p, q))
+            window.insert(lo, key)
             ranks[0].append(lo)
             for m, (a, b) in enumerate(heads, 1):
                 lo -= a * q < p * b
                 ranks[m].append(lo)
             if len(heads) < len(ranks) - 1:
-                heads.append((p, q))
+                heads.append(key)
+            keys.append(key)
             self.values.append(value)
 
 
@@ -110,9 +114,11 @@ def _cell_witness(
     first, so a shortfall of h is raised before one of g.
 
     The earlier indices that disagree with d sit between its two insertion
-    ranks, so they all lie on one side of h(m + d): the first index i with
-    ``(h_i < h_d) != (g_i < g_d)`` is the witness, reported as (i, d) when
-    h_i < h_d and as (d, i) otherwise.
+    ranks, so they all lie on one side of h(m + d): below it exactly when
+    h's rank of d is the larger. The first index i with
+    ``(h_i < h_d) != (g_i < g_d)``, found by comparing the streams' keys, is
+    the witness, reported as (i, d) when it lies below and as (d, i)
+    otherwise.
     """
     hr, gr = hs.ranks[m], gs.ranks[n]
     d = 0
@@ -130,11 +136,17 @@ def _cell_witness(
         except Exception:
             hs.listing.prefix(h_need)
             raise
+    hp, hq = hs.keys[m + d]
+    gp, gq = gs.keys[n + d]
+    earlier = zip(islice(hs.keys, m, m + d), islice(gs.keys, n, n + d))
+    i = next(
+        i
+        for i, ((a, b), (c, e)) in enumerate(earlier)
+        if (a * hq < hp * b) != (c * gq < gp * e)
+    )
     hv, gv = hs.values, gs.values
-    h_d, g_d = hv[m + d], gv[n + d]
-    i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
-    h_i, g_i = hv[m + i], gv[n + i]
-    if h_i < h_d:
+    h_i, h_d, g_i, g_d = hv[m + i], hv[m + d], gv[n + i], gv[n + d]
+    if hr[d] > gr[d]:
         return WitnessPair(i, d, h_i, h_d, g_i, g_d)
     return WitnessPair(d, i, h_d, h_i, g_d, g_i)
 
@@ -333,12 +345,15 @@ def match_listing(
     Picks are first-fit in listing order. The target is drawn lazily, at
     most ``fuel`` values in all: a step scans the values already drawn and
     draws more only when none fits, stopping at the first new value that
-    does. If no value within fuel fits, a gap oracle may still certify the
-    gap empty. That refutes only where ``h``'s descriptor is a lone ``W``
-    (``W*``) block and the gap is unbounded above (below); elsewhere the
-    picks fixed the gap (see :class:`GapEmpty`). Without the oracle the
-    outcome is an inconclusive :class:`FuelExhausted` after the full fuel,
-    or after a cut-off by the duplicate limit.
+    does. Each drawn value is kept beside its (numerator, denominator) key,
+    and it lies in the gap when its key passes the products against both
+    bound keys, the exact ``a * q < p * b`` of :class:`RankStream`: the scan
+    makes no ``Fraction`` comparison. If no value within fuel fits, a gap
+    oracle may still certify the gap empty. That refutes only where ``h``'s
+    descriptor is a lone ``W`` (``W*``) block and the gap is unbounded above
+    (below); elsewhere the picks fixed the gap (see :class:`GapEmpty`).
+    Without the oracle the outcome is an inconclusive :class:`FuelExhausted`
+    after the full fuel, or after a cut-off by the duplicate limit.
 
     When the target's stream ends within fuel, its full content is known,
     and the match restarts from step 0 with every pick checked against the
@@ -352,15 +367,19 @@ def match_listing(
     omega, omega_star = signature == [Direction.ASC], signature == [Direction.DESC]
     walk = iter(target.listing())
     pool: list[Fraction] = []
+    keys: list[tuple[int, int]] = []  # (numerator, denominator) of each pool value
     placed: list[int] = []  # input ranks placed so far, ascending
-    matched: list[Fraction] = []  # chosen values, ascending alongside
-    chosen: list[Fraction] = []
+    matched: list[int] = []  # pool positions of the picks, by value alongside
     picks: list[int] = []
     for k, r in enumerate(h_ranks):
         t = bisect_left(placed, r)
-        lo = matched[t - 1] if t else None
-        hi = matched[t] if t < k else None
-        pick = next((p for p, v in enumerate(pool) if in_gap(v, lo, hi)), None)
+        # A gap end is a key too; an unbounded end is (-1, 0) below or (1, 0)
+        # above, which every key with a positive denominator passes.
+        lp, lq = keys[matched[t - 1]] if t else (-1, 0)
+        hp, hq = keys[matched[t]] if t < k else (1, 0)
+        pick = next(
+            (p for p, (a, b) in enumerate(keys) if lp * b < a * lq and a * hq < hp * b), None
+        )
         cut_off = False
         while pick is None and len(pool) < fuel:
             try:
@@ -370,10 +389,14 @@ def match_listing(
             except ListingCutOff:
                 cut_off = True
                 break
+            a, b = value.numerator, value.denominator
             pool.append(value)
-            if in_gap(value, lo, hi):
+            keys.append((a, b))
+            if lp * b < a * lq and a * hq < hp * b:
                 pick = len(pool) - 1
         if pick is None:
+            lo = pool[matched[t - 1]] if t else None
+            hi = pool[matched[t]] if t < k else None
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
                 refutes = (omega and hi is None) or (omega_star and lo is None)
                 detail = "gap oracle certifies the gap empty"
@@ -382,10 +405,9 @@ def match_listing(
                 return GapEmpty(k, lo, hi, refutes, detail)
             return FuelExhausted(k, len(pool), cut_off)
         placed.insert(t, r)
-        matched.insert(t, pool[pick])
-        chosen.append(pool[pick])
+        matched.insert(t, pick)
         picks.append(pick)
-    return MatchSuccess(tuple(chosen), tuple(picks), len(pool))
+    return MatchSuccess(tuple(pool[p] for p in picks), tuple(picks), len(pool))
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,10 @@ def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
     floor(h/lo), and p/h for p from ceil(lo*h) to floor(hi*h). Cost is
     proportional to that range, not to h.
     """
-    if hi <= 0:
+    if hi.numerator <= 0:
         return
     q_first = max(1, -(-h * hi.denominator // hi.numerator))
-    q_last = h - 1 if lo <= 0 else min(h - 1, h * lo.denominator // lo.numerator)
+    q_last = h - 1 if lo.numerator <= 0 else min(h - 1, h * lo.denominator // lo.numerator)
     for q in range(q_first, q_last + 1):
         if math.gcd(h, q) == 1:
             yield Fraction(h, q)
@@ -444,12 +444,14 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
         single = finite_listing([a])
         return SetSpec(name, single.make_stream, Fin(1), single.gap_oracle)
 
+    has_zero, neg_lo, neg_hi = a <= 0 <= b, -b, -a
+
     def stream() -> Iterator[Fraction]:
         for h in count(1):
-            if h == ZERO_HEIGHT and a <= 0 <= b:
+            if h == ZERO_HEIGHT and has_zero:
                 yield Fraction(0)
             yield from _block_between(h, a, b)
-            yield from (-v for v in _block_between(h, -b, -a))
+            yield from (-v for v in _block_between(h, neg_lo, neg_hi))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         # With a < b, (lo, hi) meets [a, b] iff its clipped ends stay in order.

@@ -53,6 +53,12 @@ from enumorder.seqlang import (
 
 _FAMILY_TEXT = "case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n"
 
+# Numerators 2**100 - 1 + k over the prime 2**89 - 1: both parts pass 2**64,
+# every float rounds them to one value, and the numerators' low 64 bits wrap
+# from 2**64 - 1 to 0 between WIDE[0] and WIDE[1]. Only an exact comparison
+# orders them.
+WIDE = [Fraction(2**100 - 1 + k, 2**89 - 1) for k in range(7)]
+
 
 def spec_factories():
     """Fresh-spec factories covering builtins and every transform."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumorder.coorder import (
@@ -40,6 +40,7 @@ from enumorder.listings import (
 )
 
 from helpers import (
+    WIDE,
     minimal_witness,
     minimal_witness_scan,
     prefix_coorder_scan,
@@ -120,6 +121,14 @@ def search_by_cells(h, g, m_max, n_max, length):
 
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
+# Cell (0, 0) splits at d = 2 with witness (2, 1); cell (0, 1) is a candidate.
+@example(
+    ([WIDE[0], WIDE[2], WIDE[1], WIDE[3]], "infinite"),
+    ([WIDE[0], WIDE[1], WIDE[3], WIDE[2]], "infinite"),
+    1,
+    1,
+    6,
+)
 def test_every_search_cell_matches_the_oracle(a, b, m_max, n_max, length):
     # When a cell needs values a listing lacks, the search raises the
     # shortfall of an eager draw of h's values, then g's.

@@ -23,7 +23,12 @@ from enumorder.listings import (
     rationals_in_interval,
 )
 
-from helpers import match_listing_eager, rationals_in_interval_filtered, spec_factories
+from helpers import (
+    WIDE,
+    match_listing_eager,
+    rationals_in_interval_filtered,
+    spec_factories,
+)
 
 oracle_settings = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -73,6 +78,15 @@ def assert_same_outcome(h, target, prefix_len, fuel):
 
 @oracle_settings
 @given(inputs, targets, st.integers(0, 12), st.integers(0, 300))
+# Pattern (1, 3, 0, 2): gaps open above, open below, then bounded on both
+# sides. The last pick is the sixth value drawn, the fuel, so the target's
+# end is never reached and every pick comes from the scan.
+@example(
+    lambda: finite_listing([WIDE[1], WIDE[3], WIDE[0], WIDE[2]]),
+    lambda: finite_listing([WIDE[i] for i in (2, 0, 4, 5, 1, 3, 6)]),
+    4,
+    6,
+)
 def test_lazy_match_equals_eager_match(h, target, prefix_len, fuel):
     assert_same_outcome(h, target, prefix_len, fuel)
 
