@@ -58,30 +58,30 @@ class RankStream:
     at a head index 0..``heads``.
 
     ``ranks[m][d]`` is the insertion rank of value m + d among values
-    m..m+d-1. Each drawn value is kept twice in listing order, as
-    ``values`` and as its (numerator, denominator) pair in ``keys``, and
-    its pair goes into one sorted window. A new value t gets its rank G(t)
-    among values 0..t-1 by bisection, and the rank in the window from m is
-    G(t) minus #{k < m : value k < value t}, from at most ``heads``
-    comparisons with the head values. Pairs compare by ``a * q < p * b``,
-    which is exact: a Fraction keeps lowest terms with a positive
-    denominator.
+    m..m+d-1. The values and their keys stay in the listing
+    (``listing.values`` and ``listing.keys``), which may be drawn further
+    than the stream has ranked; each ranked key goes into one sorted
+    window. A new value t gets its rank G(t) among values 0..t-1 by
+    bisection, and the rank in the window from m is G(t) minus
+    #{k < m : value k < value t}, from at most ``heads`` comparisons with
+    the head keys. Keys compare by ``a * q < p * b``, which is exact: a
+    Fraction keeps lowest terms with a positive denominator.
     """
 
     def __init__(self, listing: Listing, heads: int):
         self.listing = listing
-        self.values: list[Fraction] = []
-        self.keys: list[tuple[int, int]] = []
         self.ranks: list[list[int]] = [[] for _ in range(heads + 1)]
         self._window: list[tuple[int, int]] = []
         self._heads: list[tuple[int, int]] = []
 
     def draw(self, t: int) -> None:
         """Draw and rank the values up to index t."""
-        window, heads, keys, ranks = self._window, self._heads, self.keys, self.ranks
-        while len(keys) <= t:
-            value = self.listing.value_at(len(keys))
-            key = p, q = value.numerator, value.denominator
+        listing, window, heads, ranks = self.listing, self._window, self._heads, self.ranks
+        keys, ranked = listing.keys, ranks[0]
+        while len(ranked) <= t:
+            k = len(ranked)
+            listing.value_at(k)
+            key = p, q = keys[k]
             lo, hi = 0, len(window)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -91,14 +91,12 @@ class RankStream:
                 else:
                     hi = mid
             window.insert(lo, key)
-            ranks[0].append(lo)
+            ranked.append(lo)
             for m, (a, b) in enumerate(heads, 1):
                 lo -= a * q < p * b
                 ranks[m].append(lo)
             if len(heads) < len(ranks) - 1:
                 heads.append(key)
-            keys.append(key)
-            self.values.append(value)
 
 
 def _cell_witness(
@@ -116,7 +114,7 @@ def _cell_witness(
     The earlier indices that disagree with d sit between its two insertion
     ranks, so they all lie on one side of h(m + d): below it exactly when
     h's rank of d is the larger. The first index i with
-    ``(h_i < h_d) != (g_i < g_d)``, found by comparing the streams' keys, is
+    ``(h_i < h_d) != (g_i < g_d)``, found by comparing the listings' keys, is
     the witness, reported as (i, d) when it lies below and as (d, i)
     otherwise.
     """
@@ -136,15 +134,16 @@ def _cell_witness(
         except Exception:
             hs.listing.prefix(h_need)
             raise
-    hp, hq = hs.keys[m + d]
-    gp, gq = gs.keys[n + d]
-    earlier = zip(islice(hs.keys, m, m + d), islice(gs.keys, n, n + d))
+    hk, gk = hs.listing.keys, gs.listing.keys
+    hp, hq = hk[m + d]
+    gp, gq = gk[n + d]
+    earlier = zip(islice(hk, m, m + d), islice(gk, n, n + d))
     i = next(
         i
         for i, ((a, b), (c, e)) in enumerate(earlier)
         if (a * hq < hp * b) != (c * gq < gp * e)
     )
-    hv, gv = hs.values, gs.values
+    hv, gv = hs.listing.values, gs.listing.values
     h_i, h_d, g_i, g_d = hv[m + i], hv[m + d], gv[n + i], gv[n + d]
     if hr[d] > gr[d]:
         return WitnessPair(i, d, h_i, h_d, g_i, g_d)
@@ -315,7 +314,6 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
     pool_ranks = _ranks(pool)
     placed: list[int] = []  # input ranks placed so far, ascending
     matched: list[int] = []  # pool ranks of the picks, ascending alongside
-    chosen: list[Fraction] = []
     picks: list[int] = []
     for k, r in enumerate(h_ranks):
         t = bisect_left(placed, r)
@@ -325,9 +323,8 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
         pick = next(p for p, q in enumerate(pool_ranks) if first <= q <= last)
         placed.insert(t, r)
         matched.insert(t, pool_ranks[pick])
-        chosen.append(pool[pick])
         picks.append(pick)
-    return MatchSuccess(tuple(chosen), tuple(picks), len(pool))
+    return MatchSuccess(tuple(pool[p] for p in picks), tuple(picks), len(pool))
 
 
 def match_listing(
@@ -345,15 +342,16 @@ def match_listing(
     Picks are first-fit in listing order. The target is drawn lazily, at
     most ``fuel`` values in all: a step scans the values already drawn and
     draws more only when none fits, stopping at the first new value that
-    does. Each drawn value is kept beside its (numerator, denominator) key,
-    and it lies in the gap when its key passes the products against both
-    bound keys, the exact ``a * q < p * b`` of :class:`RankStream`: the scan
-    makes no ``Fraction`` comparison. If no value within fuel fits, a gap
-    oracle may still certify the gap empty. That refutes only where ``h``'s
-    descriptor is a lone ``W`` (``W*``) block and the gap is unbounded above
-    (below); elsewhere the picks fixed the gap (see :class:`GapEmpty`).
-    Without the oracle the outcome is an inconclusive :class:`FuelExhausted`
-    after the full fuel, or after a cut-off by the duplicate limit.
+    does. The target listing holds each drawn value beside its (numerator,
+    denominator) key, and a value lies in the gap when its key passes the
+    products against both bound keys, the exact ``a * q < p * b`` of
+    :class:`RankStream`: the scan makes no ``Fraction`` comparison. If no
+    value within fuel fits, a gap oracle may still certify the gap empty.
+    That refutes only where ``h``'s descriptor is a lone ``W`` (``W*``)
+    block and the gap is unbounded above (below); elsewhere the picks fixed
+    the gap (see :class:`GapEmpty`). Without the oracle the outcome is an
+    inconclusive :class:`FuelExhausted` after the full fuel, or after a
+    cut-off by the duplicate limit.
 
     When the target's stream ends within fuel, its full content is known,
     and the match restarts from step 0 with every pick checked against the
@@ -365,9 +363,9 @@ def match_listing(
     h_ranks = _ranks(h.listing().try_prefix(prefix_len))
     signature = block_signature(h.descriptor)
     omega, omega_star = signature == [Direction.ASC], signature == [Direction.DESC]
-    walk = iter(target.listing())
-    pool: list[Fraction] = []
-    keys: list[tuple[int, int]] = []  # (numerator, denominator) of each pool value
+    listing = target.listing()
+    walk = iter(listing)
+    pool, keys = listing.values, listing.keys
     placed: list[int] = []  # input ranks placed so far, ascending
     matched: list[int] = []  # pool positions of the picks, by value alongside
     picks: list[int] = []
@@ -383,15 +381,13 @@ def match_listing(
         cut_off = False
         while pick is None and len(pool) < fuel:
             try:
-                value = next(walk)
+                next(walk)
             except StopIteration:
                 return _exact_match(h_ranks, pool)
             except ListingCutOff:
                 cut_off = True
                 break
-            a, b = value.numerator, value.denominator
-            pool.append(value)
-            keys.append((a, b))
+            a, b = keys[-1]
             if lp * b < a * lq and a * hq < hp * b:
                 pick = len(pool) - 1
         if pick is None:

@@ -86,9 +86,11 @@ class Listing:
 
     def __init__(self, stream: Iterator[Fraction]):
         self._stream = stream
-        self._memo: list[Fraction] = []
-        # Keyed by (numerator, denominator): equal Fractions share their
-        # lowest terms, and a tuple hashes without Fraction's modular inverse.
+        # The drawn values and their (numerator, denominator) keys, index for
+        # index; callers only read them. A key tuple hashes without Fraction's
+        # modular inverse, and equal Fractions share their lowest terms.
+        self.values: list[Fraction] = []
+        self.keys: list[tuple[int, int]] = []
         self._seen: set[tuple[int, int]] = set()
         self._ended = False
         self._cut_off = False
@@ -101,34 +103,34 @@ class Listing:
         """
         k = 0
         while True:
-            if k == len(self._memo):
+            if k == len(self.values):
                 self._fill(k + 1)
-                if k == len(self._memo):
+                if k == len(self.values):
                     if self._cut_off:
                         raise ListingCutOff
                     return
-            yield self._memo[k]
+            yield self.values[k]
             k += 1
 
     def value_at(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError(f"listing index must be nonnegative, got {k}")
         self._fill(k + 1)
-        if k >= len(self._memo):
-            raise ListingExhausted(len(self._memo), self._cut_off)
-        return self._memo[k]
+        if k >= len(self.values):
+            raise ListingExhausted(len(self.values), self._cut_off)
+        return self.values[k]
 
     def prefix(self, n: int) -> list[Fraction]:
         """First ``n`` values; raises :class:`ListingExhausted` on shortfall."""
         self._fill(n)
-        if len(self._memo) < n:
-            raise ListingExhausted(len(self._memo), self._cut_off)
-        return self._memo[:n]
+        if len(self.values) < n:
+            raise ListingExhausted(len(self.values), self._cut_off)
+        return self.values[:n]
 
     def try_prefix(self, n: int) -> list[Fraction]:
         """Up to ``n`` values, shorter if the stream ends first."""
         self._fill(n)
-        return self._memo[:n]
+        return self.values[:n]
 
     def is_cut_off(self) -> bool:
         """True once a duplicate run stopped the draw, here or in a walked listing."""
@@ -136,7 +138,7 @@ class Listing:
 
     def _fill(self, n: int) -> None:
         run = 0
-        while len(self._memo) < n and not (self._ended or self._cut_off):
+        while len(self.values) < n and not (self._ended or self._cut_off):
             try:
                 value = next(self._stream)
             except StopIteration:
@@ -155,7 +157,8 @@ class Listing:
                 continue
             run = 0
             self._seen.add(key)
-            self._memo.append(value)
+            self.values.append(value)
+            self.keys.append(key)
 
 
 @dataclass
@@ -260,14 +263,21 @@ def _minus_finite_oracle(
 # ---------------------------------------------------------------------------
 
 
-def builtin_harmonic() -> SetSpec:
-    """Reciprocals of the positive integers, listed 1, 1/2, 1/3, ..."""
+def _reciprocals(name: str, center: int, sign: int) -> SetSpec:
+    """{center + sign/n : n >= 1}, listed over n = 1, 2, ... as (center*n +
+    sign)/n, whose numerator is coprime to n: W* for sign +1, W for -1."""
 
     def stream() -> Iterator[Fraction]:
         for n in count(1):
-            yield Fraction(1, n)
+            yield Fraction(center * n + sign, n)
 
-    return SetSpec("harmonic", stream, OMEGA_STAR, _reciprocal_oracle(Fraction(0), +1))
+    descriptor = OMEGA_STAR if sign > 0 else OMEGA
+    return SetSpec(name, stream, descriptor, _reciprocal_oracle(Fraction(center), sign))
+
+
+def builtin_harmonic() -> SetSpec:
+    """Reciprocals of the positive integers, listed 1, 1/2, 1/3, ..."""
+    return _reciprocals("harmonic", 0, +1)
 
 
 def builtin_thirds() -> SetSpec:
@@ -314,22 +324,11 @@ def build_T(i: int) -> SetSpec:
     when ``i`` is odd (ascending, inside [i-1, i)), and i - (n-1)/n when
     ``i`` is even (descending, inside (i-1, i]).
 
-    Each value is drawn from its closed form, (i*n - 1)/n for odd ``i`` and
-    ((i-1)*n + 1)/n for even ``i``; both numerators are coprime to n.
+    As sets, the odd block is {i - 1/n} and the even one {(i-1) + 1/n}.
     """
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
-    a, b = (i, -1) if i % 2 else (i - 1, 1)
-
-    def stream() -> Iterator[Fraction]:
-        for n in count(1):
-            yield Fraction(a * n + b, n)
-
-    if i % 2:
-        # {(i-1) + (n-1)/n} == {i - 1/n}
-        return SetSpec(f"T:{i}", stream, OMEGA, _reciprocal_oracle(Fraction(i), -1))
-    # {i - (n-1)/n} == {(i-1) + 1/n}
-    return SetSpec(f"T:{i}", stream, OMEGA_STAR, _reciprocal_oracle(Fraction(i - 1), +1))
+    return _reciprocals(f"T:{i}", *((i, -1) if i % 2 else (i - 1, +1)))
 
 
 def interleave(specs: Sequence[SetSpec]) -> SetSpec:
@@ -402,9 +401,9 @@ def build_A(i: int) -> SetSpec:
 ZERO_HEIGHT = 128
 
 
-def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    """The positive rationals of height ``h`` inside [lo, hi], by
-    denominator then numerator.
+def _block_between(h: int, lo: Fraction, hi: Fraction, sign: int) -> Iterator[Fraction]:
+    """``sign`` times each positive rational of height ``h`` inside
+    [lo, hi], by denominator then numerator.
 
     Each part of the block is monotone in its running index, so the
     in-range part is an index range: h/q for q from ceil(h/hi) to
@@ -417,12 +416,12 @@ def _block_between(h: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
     q_last = h - 1 if lo.numerator <= 0 else min(h - 1, h * lo.denominator // lo.numerator)
     for q in range(q_first, q_last + 1):
         if math.gcd(h, q) == 1:
-            yield Fraction(h, q)
+            yield Fraction(sign * h, q)
     p_first = max(1, -(-lo.numerator * h // lo.denominator))
     p_last = min(h, hi.numerator * h // hi.denominator)
     for p in range(p_first, p_last + 1):
         if math.gcd(p, h) == 1:
-            yield Fraction(p, h)
+            yield Fraction(sign * p, h)
 
 
 def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
@@ -450,8 +449,8 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
         for h in count(1):
             if h == ZERO_HEIGHT and has_zero:
                 yield Fraction(0)
-            yield from _block_between(h, a, b)
-            yield from (-v for v in _block_between(h, neg_lo, neg_hi))
+            yield from _block_between(h, a, b, +1)
+            yield from _block_between(h, neg_lo, neg_hi, -1)
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         # With a < b, (lo, hi) meets [a, b] iff its clipped ends stay in order.
@@ -531,7 +530,9 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         raise DuplicateValuesError("added values must be pairwise distinct")
     if not added:
         return spec
-    scanned = {(v.numerator, v.denominator) for v in spec.listing().try_prefix(EDIT_SCAN_PREFIX)}
+    listing = spec.listing()
+    listing.try_prefix(EDIT_SCAN_PREFIX)
+    scanned = set(listing.keys)
     clash = [v for v in added if (v.numerator, v.denominator) in scanned]
     if clash:
         shown = ", ".join(format_rational(v) for v in clash)

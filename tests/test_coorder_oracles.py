@@ -152,6 +152,27 @@ def test_every_search_cell_matches_the_oracle(a, b, m_max, n_max, length):
     assert [c.witness for c in report.cells] == expected
 
 
+def test_a_search_ranks_listings_drawn_further_than_it_has_ranked():
+    # A rank stream counts what it ranked, not what its listing holds: a
+    # listing drawn before the search, by a prefix or by a check on the same
+    # two objects, is ranked from index 0 all the same.
+    def drawn_by_prefix(h, g):
+        h.try_prefix(300)
+        g.try_prefix(300)
+
+    def drawn_by_check(h, g):
+        outcome(prefix_coorder, h, g, 60)
+
+    for a in range(SPEC_COUNT):
+        for b in range(SPEC_COUNT):
+            expected = outcome(search_by_cells, *listings(a, b), 3, 3, 60)
+            for draw in (drawn_by_prefix, drawn_by_check):
+                h, g = listings(a, b)
+                draw(h, g)
+                report = outcome(search_shift_witnesses, h, g, 3, 3, 60)
+                assert report == expected, (a, b, draw.__name__)
+
+
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
 def test_minimal_witness_matches_the_exhaustive_scan(a, b, m, n, length):
@@ -253,7 +274,7 @@ def test_rank_stream_equals_bisection_on_fractions(values, heads):
     stream = RankStream(Listing(iter(values)), heads)
     if values:
         stream.draw(len(values) - 1)
-    assert stream.values == values
+    assert stream.listing.values == values
     for m in range(heads + 1):
         expected = [
             bisect_left(sorted(values[m:t]), values[t]) for t in range(m, len(values))

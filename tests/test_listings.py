@@ -531,6 +531,35 @@ def test_a_stream_error_recurs_at_the_same_index():
             ls.try_prefix(3)
 
 
+def test_keys_are_the_values_keys_index_for_index():
+    def keys_of(ls):
+        return [(v.numerator, v.denominator) for v in ls.values]
+
+    for factory in spec_factories():
+        spec = factory()
+        ls = spec.listing()
+        ls.try_prefix(300)
+        assert ls.keys == keys_of(ls), spec.name
+    # A .seq stream that failed, with its error replayed.
+    ls = seq_spec(parse("1/(n-3)"), 1, "seq:1/(n-3)").listing()
+    for read in (lambda: ls.prefix(5), lambda: ls.value_at(4)):
+        with pytest.raises(EvalDivisionByZero):
+            read()
+    assert ls.values == [F(-1, 2), F(-1)]
+    assert ls.keys == keys_of(ls)
+
+    # Cut off by the duplicate limit, after two values and their repeats.
+    def repeats():
+        yield from [F(1), F(1, 2), F(1), F(1, 2)]
+        while True:
+            yield F(1)
+
+    ls = Listing(repeats())
+    assert ls.try_prefix(5) == [F(1), F(1, 2)]
+    assert ls.is_cut_off()
+    assert ls.keys == keys_of(ls) == [(1, 1), (1, 2)]
+
+
 # --- gap oracles of finite deletions ------------------------------------------------
 
 
