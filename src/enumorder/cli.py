@@ -145,6 +145,10 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+class _JSONText(str):
+    """Text that is already JSON; the writer copies it as it is."""
+
+
 # Writers of the scalars a report holds, by exact type, so that a dict or
 # list member that is a scalar is written without a call of the writer.
 _SCALAR_TEXT = {
@@ -153,6 +157,7 @@ _SCALAR_TEXT = {
     float: float.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
+    _JSONText: str.__str__,
 }
 
 
@@ -187,8 +192,35 @@ def _json_text(value: object, indent: str = "\n") -> str:
     raise TypeError(f"not a report value: {type(value).__name__}")
 
 
+def _cells_text(cells: list[dict], indent: str) -> str:
+    """``_json_text(cells, indent)`` for a pair's cells, from one template:
+    every cell has ints ``m`` and ``n`` and a ``witness`` that is null or
+    ints ``i`` and ``j`` beside four ASCII ``p/q`` texts, which the string
+    escaper would only quote."""
+    if not cells:
+        return "[]"
+    inner, field, deeper = indent + "  ", indent + "    ", indent + "      "
+    cell = f'{{{field}"m": %d,{field}"n": %d,{field}"witness": %s{inner}}}'
+    witness = (
+        f'{{{deeper}"g_i": "%(g_i)s",{deeper}"g_j": "%(g_j)s",{deeper}"h_i": "%(h_i)s",'
+        f'{deeper}"h_j": "%(h_j)s",{deeper}"i": %(i)d,{deeper}"j": %(j)d{field}}}'
+    )
+    items = [
+        cell % (c["m"], c["n"], "null" if c["witness"] is None else witness % c["witness"])
+        for c in cells
+    ]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _report_json(report: ReproReport) -> str:
-    return _json_text(report.to_json_dict())
+    """The report's JSON text. Each pair's cells, at the same depth in every
+    report, are written by :func:`_cells_text`, the rest by :func:`_json_text`."""
+    doc = report.to_json_dict()
+    doc["pairs"] = [
+        {**pair, "cells": _JSONText(_cells_text(pair["cells"], "\n      "))}
+        for pair in doc["pairs"]
+    ]
+    return _json_text(doc)
 
 
 def _svg_scatter(values: list[Fraction], title: str) -> str:

@@ -26,6 +26,7 @@ from .coorder import (
     witness_projections,
 )
 from .listings import (
+    Listing,
     SetSpec,
     build_A,
     build_T,
@@ -65,27 +66,38 @@ class ReproReport:
         }
 
 
-def _witness_json(w: WitnessPair | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "i": w.i,
-        "j": w.j,
-        "h_i": format_rational(w.h_i),
-        "h_j": format_rational(w.h_j),
-        "g_i": format_rational(w.g_i),
-        "g_j": format_rational(w.g_j),
-    }
+class _Texts(dict):
+    """The text of a listing's value, by position, formatted on first use:
+    witness values repeat across a pair's cells."""
+
+    def __init__(self, listing: Listing):
+        self.values = listing.values
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = format_rational(self.values[k])
+        return text
 
 
 def _descriptor_text(spec: SetSpec) -> str | None:
     return None if spec.descriptor is None else format_descriptor(spec.descriptor)
 
 
-def _pair(spec_a: SetSpec, spec_b: SetSpec, cells: Sequence[Cell]) -> dict:
+def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Sequence[Cell]) -> dict:
     """One pair as the report schema writes it: the descriptor verdict
-    beside the witness cells."""
+    beside the witness cells searched on ``h`` and ``g``, the pair's
+    listings. A witness (i, j) of cell (m, n) compares h(m + i), h(m + j),
+    g(n + i) and g(n + j)."""
     reason = refute_type2(spec_a, spec_b)
+    ht, gt = _Texts(h), _Texts(g)
+
+    def cell(m: int, n: int, w: WitnessPair | None) -> dict:
+        if w is None:
+            return {"m": m, "n": n, "witness": None}
+        i, j = w.i, w.j
+        h_i, h_j, g_i, g_j = ht[m + i], ht[m + j], gt[n + i], gt[n + j]
+        witness = {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
+        return {"m": m, "n": n, "witness": witness}
+
     return {
         "left": spec_a.name,
         "right": spec_b.name,
@@ -93,7 +105,7 @@ def _pair(spec_a: SetSpec, spec_b: SetSpec, cells: Sequence[Cell]) -> dict:
         "right_descriptor": _descriptor_text(spec_b),
         "descriptor_verdict": "unknown" if reason is None else "refuted",
         "reason": reason,
-        "cells": [{"m": c.m, "n": c.n, "witness": _witness_json(c.witness)} for c in cells],
+        "cells": [cell(c.m, c.n, c.witness) for c in cells],
     }
 
 
@@ -125,8 +137,9 @@ def search_pair(
 ) -> dict:
     """Minimal witness per shift cell for one pair, beside its descriptor
     verdict."""
-    report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, prefix)
-    return _pair(spec_a, spec_b, report.cells)
+    h, g = spec_a.listing(), spec_b.listing()
+    report = search_shift_witnesses(h, g, m_max, n_max, prefix)
+    return _pair(spec_a, spec_b, h, g, report.cells)
 
 
 def run_type2(
@@ -200,8 +213,9 @@ def run_examples() -> ReproReport:
 
     def run() -> tuple[list[dict], bool, dict]:
         harmonic, thirds = builtin_harmonic(), builtin_thirds()
-        witness = prefix_coorder(harmonic.listing(), thirds.listing(), 10)
-        pair = _pair(harmonic, thirds, [Cell(0, 0, witness)])
+        h, g = harmonic.listing(), thirds.listing()
+        witness = prefix_coorder(h, g, 10)
+        pair = _pair(harmonic, thirds, h, g, [Cell(0, 0, witness)])
         refuted = pair["descriptor_verdict"] == "refuted"
 
         finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
@@ -229,13 +243,13 @@ def witness_growth(
     index sets keep growing, and the recorded counts make that visible at
     desk scale.
     """
-    pair = _pair(spec_a, spec_b, [])
+    h, g = spec_a.listing(), spec_b.listing()
+    pair = _pair(spec_a, spec_b, h, g, [])
     if pair["descriptor_verdict"] != "refuted":
         raise ValueError(
             f"{spec_a.name} vs {spec_b.name} is not descriptor-refuted; "
             "growth evidence needs a refuted pair"
         )
-    h, g = spec_a.listing(), spec_b.listing()
     growth = []
     for m, n in shifts:
         counts = []
@@ -258,7 +272,10 @@ def run_lemma5(
     shifts: Sequence[tuple[int, int]] = DEFAULT_GROWTH_SHIFTS,
     schedule: Sequence[int] = DEFAULT_GROWTH_SCHEDULE,
 ) -> ReproReport:
-    """Growth evidence for the two stock refuted pairs."""
+    """Growth evidence for the two stock refuted pairs; growth needs a
+    schedule of at least two strictly increasing prefixes."""
+    if len(schedule) < 2 or any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"need two or more increasing prefixes, got schedule {list(schedule)}")
 
     def run() -> tuple[list[dict], bool, dict]:
         stock = [

@@ -183,6 +183,21 @@ def minimal_witness_scan(h, g, m, n, length):
     return None
 
 
+# The per-cell formatting that the reports' lookup of each witness value by
+# listing position replaced, kept as the oracle for every cell a report holds.
+def witness_json(w: WitnessPair | None) -> dict | None:
+    if w is None:
+        return None
+    return {
+        "i": w.i,
+        "j": w.j,
+        "h_i": format_rational(w.h_i),
+        "h_j": format_rational(w.h_j),
+        "g_i": format_rational(w.g_i),
+        "g_j": format_rational(w.g_j),
+    }
+
+
 # The per-cell loop that coorder's shared rank streams replaced, kept as the
 # oracle for every cell of a shift search.
 def minimal_witness(

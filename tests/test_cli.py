@@ -534,6 +534,15 @@ def test_negative_fuel_is_usage_error(capsys):
     assert "--fuel" in err and "must be >= 0" in err
 
 
+@pytest.mark.parametrize("schedule, shown", [("5", "[5]"), ("10,5", "[10, 5]")])
+def test_schedule_that_cannot_show_growth_is_usage_error(capsys, schedule, shown):
+    # One prefix shows no growth, and a falling schedule shows none by its
+    # own shape: neither is evidence either way.
+    code, out, err = run(capsys, "repro", "lemma5", "--schedule", schedule)
+    assert (code, out) == (1, "")
+    assert err == f"error: need two or more increasing prefixes, got schedule {shown}\n"
+
+
 def test_negative_schedule_entry_is_usage_error(capsys):
     code, out, err = run(capsys, "repro", "lemma5", "--schedule=-5,10")
     assert (code, out) == (1, "")

@@ -5,14 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+from enumorder.coorder import prefix_coorder, search_shift_witnesses
 from enumorder.experiments import (
     run_examples,
     run_lemma5,
     run_theorem5,
     run_theorem9,
+    search_pair,
     witness_growth,
 )
-from enumorder.listings import build_A, build_T, builtin_harmonic, builtin_thirds, interleave
+from enumorder.listings import (
+    ListingExhausted,
+    SetSpec,
+    build_A,
+    build_T,
+    builtin_harmonic,
+    builtin_thirds,
+    interleave,
+)
+
+from helpers import spec_factories, witness_json
 
 
 def F(*args):
@@ -121,6 +133,12 @@ def test_lemma5_run_passes():
     ]
 
 
+@pytest.mark.parametrize("schedule", [(), (5,), (10, 5), (20, 20, 40)])
+def test_lemma5_refuses_a_schedule_that_cannot_show_growth(schedule):
+    with pytest.raises(ValueError, match="two or more increasing prefixes"):
+        run_lemma5(schedule=schedule)
+
+
 def test_cross_route_agreement():
     # Wherever the symbolic route refutes, the empirical route finds
     # witnesses in every cell.
@@ -149,3 +167,60 @@ def test_report_json_schema_fields():
     witness = cell["witness"]
     assert set(witness) == {"i", "j", "h_i", "h_j", "g_i", "g_j"}
     assert isinstance(witness["h_i"], str)
+
+
+# --- witness cells against the per-cell oracle ---------------------------------
+
+
+class DrawnFirst(SetSpec):
+    """The spec, with every listing drawn to 300 values before it is used."""
+
+    def listing(self):
+        listing = super().listing()
+        listing.try_prefix(300)
+        return listing
+
+
+def oracle_cells(spec_a, spec_b, m_max, n_max, length):
+    """The cells of a search on fresh listings, each witness formatted by
+    the oracle; the ``ListingExhausted`` message in their place."""
+    try:
+        report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, length)
+    except ListingExhausted as exc:
+        return str(exc)
+    return [{"m": c.m, "n": c.n, "witness": witness_json(c.witness)} for c in report.cells]
+
+
+def searched_cells(spec_a, spec_b, m_max, n_max, length):
+    try:
+        return search_pair(spec_a, spec_b, m_max, n_max, length)["cells"]
+    except ListingExhausted as exc:
+        return str(exc)
+
+
+def test_cells_format_the_witness_values_the_search_compared():
+    factories = spec_factories()
+    witnessed = 0
+    for make_a in factories:
+        for make_b in factories:
+            expected = oracle_cells(make_a(), make_b(), 2, 2, 8)
+            assert searched_cells(make_a(), make_b(), 2, 2, 8) == expected
+            witnessed += isinstance(expected, list) and any(c["witness"] for c in expected)
+    assert witnessed > len(factories) ** 2 // 2
+
+
+def test_cells_read_listings_drawn_further_than_the_search():
+    a, b = build_A(1), build_A(2)
+    drawn = [DrawnFirst(s.name, s.make_stream, s.descriptor, s.gap_oracle) for s in (a, b)]
+    assert len(drawn[0].listing().values) == 300
+    cells = searched_cells(*drawn, 3, 3, 60)
+    assert cells == oracle_cells(a, b, 3, 3, 60)
+    assert all(c["witness"] is not None for c in cells)
+
+
+def test_examples_cell_is_the_check_witness_in_i_before_j_order():
+    h, g = builtin_harmonic(), builtin_thirds()
+    unswapped = search_shift_witnesses(h.listing(), g.listing(), 0, 0, 10).cells[0].witness
+    assert unswapped.i > unswapped.j
+    witness = witness_json(prefix_coorder(h.listing(), g.listing(), 10))
+    assert run_examples().pairs[0]["cells"] == [{"m": 0, "n": 0, "witness": witness}]
