@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import experiments
@@ -145,58 +145,11 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-class _JSONText(str):
-    """Text that is already JSON; the writer copies it as it is."""
-
-
-# Writers of the scalars a report holds, by exact type, so that a dict or
-# list member that is a scalar is written without a call of the writer.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    _JSONText: str.__str__,
-}
-
-
-def _json_text(value: object, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for what reports hold:
-    dicts with str keys, lists, str, int, finite float, bool and None.
-
-    CPython serves ``json.dumps`` with an ``indent`` from its pure-Python
-    encoder; this writer calls the same C string escaper directly. ``indent``
-    is the line break and indentation of the line the value starts on, where
-    a container's closing bracket goes.
-    """
-    write = _SCALAR_TEXT.get(type(value))
-    if write is not None:
-        return write(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k)
-            + ": "
-            + (w(v) if (w := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner))
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [w(v) if (w := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"not a report value: {type(value).__name__}")
-
-
 def _cells_text(cells: list[dict], indent: str) -> str:
-    """``_json_text(cells, indent)`` for a pair's cells, from one template:
-    every cell has ints ``m`` and ``n`` and a ``witness`` that is null or
-    ints ``i`` and ``j`` beside four ASCII ``p/q`` texts, which the string
-    escaper would only quote."""
+    """``json.dumps``'s text for a pair's cells nested at ``indent``, from one
+    template: every cell has ints ``m`` and ``n`` and a ``witness`` that is
+    null or ints ``i`` and ``j`` beside four ASCII ``p/q`` texts, which the
+    string escaper would only quote."""
     if not cells:
         return "[]"
     inner, field, deeper = indent + "  ", indent + "    ", indent + "      "
@@ -213,14 +166,19 @@ def _cells_text(cells: list[dict], indent: str) -> str:
 
 
 def _report_json(report: ReproReport) -> str:
-    """The report's JSON text. Each pair's cells, at the same depth in every
-    report, are written by :func:`_cells_text`, the rest by :func:`_json_text`."""
+    """``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``; each
+    pair's cells, at the same depth in every report, are written by
+    :func:`_cells_text` into the place a NaN held for them. The text
+    ``"cells": NaN`` marks nothing else: the quotes in a string are always
+    escaped, and no report field is NaN."""
     doc = report.to_json_dict()
-    doc["pairs"] = [
-        {**pair, "cells": _JSONText(_cells_text(pair["cells"], "\n      "))}
-        for pair in doc["pairs"]
-    ]
-    return _json_text(doc)
+    pairs = doc["pairs"]
+    doc["pairs"] = [{**pair, "cells": math.nan} for pair in pairs]
+    parts = json.dumps(doc, indent=2, sort_keys=True).split('"cells": NaN')
+    if len(parts) != len(pairs) + 1:
+        raise RuntimeError(f"{len(parts) - 1} cell placeholders for {len(pairs)} pairs")
+    cells = [_cells_text(pair["cells"], "\n      ") for pair in pairs]
+    return parts[0] + "".join(f'"cells": {c}{part}' for c, part in zip(cells, parts[1:]))
 
 
 def _svg_scatter(values: list[Fraction], title: str) -> str:
@@ -339,17 +297,30 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_INCONCLUSIVE
 
 
+# The options each experiment reads, by the keyword its runner,
+# ``experiments.run_<name>``, takes each as; the runner's defaults stand in
+# for options not given.
+_UNION_OPTIONS = {"imax": "i_max", "mmax": "m_max", "nmax": "n_max", "prefix": "prefix"}
+_REPRO_OPTIONS = {
+    "theorem9": _UNION_OPTIONS,
+    "theorem5": _UNION_OPTIONS,
+    "examples": {},
+    "lemma5": {"schedule": "schedule"},
+}
+
+
 def _cmd_repro(args: argparse.Namespace) -> int:
-    if args.name == "theorem9":
-        report = experiments.run_theorem9(args.imax, args.mmax, args.nmax, args.prefix)
-    elif args.name == "theorem5":
-        report = experiments.run_theorem5(args.imax, args.mmax, args.nmax, args.prefix)
-    elif args.name == "examples":
-        report = experiments.run_examples()
-    elif args.name == "lemma5":
-        report = experiments.run_lemma5(schedule=args.schedule)
-    else:
+    reads = _REPRO_OPTIONS.get(args.name)
+    if reads is None:
         raise ValueError(f"unknown experiment {args.name!r}")
+    # An option left out sets no attribute (its default is SUPPRESS), so the
+    # rest are the options given, in command-line order.
+    given = [key for key in vars(args) if key not in ("command", "func", "name", "out")]
+    for key in given:
+        if key not in reads:
+            raise ValueError(f"repro {args.name} does not take --{key}")
+    run = getattr(experiments, f"run_{args.name}")
+    report = run(**{reads[key]: getattr(args, key) for key in given})
     _emit(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
@@ -415,19 +386,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--fuel", type=_natural, default=10_000)
     p_match.set_defaults(func=_cmd_match)
 
-    p_repro = sub.add_parser("repro", help="run a scripted experiment, emit a JSON report")
-    p_repro.add_argument("name")
-    p_repro.add_argument("--imax", type=_integer, default=5)
-    p_repro.add_argument("--mmax", type=_natural, default=experiments.DEFAULT_M_MAX)
-    p_repro.add_argument("--nmax", type=_natural, default=experiments.DEFAULT_N_MAX)
-    p_repro.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
-    p_repro.add_argument(
-        "--schedule",
-        type=_naturals,
-        default=",".join(str(n) for n in experiments.DEFAULT_GROWTH_SCHEDULE),
-        help="prefix schedule for the growth experiment",
+    p_repro = sub.add_parser(
+        "repro",
+        help="run a scripted experiment, emit a JSON report",
+        argument_default=argparse.SUPPRESS,
     )
-    p_repro.add_argument("--out")
+    p_repro.add_argument("name")
+    p_repro.add_argument("--imax", type=_integer)
+    p_repro.add_argument("--mmax", type=_natural)
+    p_repro.add_argument("--nmax", type=_natural)
+    p_repro.add_argument("--prefix", "-N", type=_natural)
+    p_repro.add_argument(
+        "--schedule", type=_naturals, help="prefix schedule for the growth experiment"
+    )
+    p_repro.add_argument("--out", default=None)
     p_repro.set_defaults(func=_cmd_repro)
 
     return parser

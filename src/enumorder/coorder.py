@@ -207,9 +207,6 @@ class Cell:
 class WitnessReport:
     cells: tuple[Cell, ...]
 
-    def all_witnessed(self) -> bool:
-        return all(cell.witness is not None for cell in self.cells)
-
 
 def search_shift_witnesses(
     h: Listing, g: Listing, m_max: int, n_max: int, length: int

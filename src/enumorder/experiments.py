@@ -156,7 +156,7 @@ def run_type2(
 
 
 def run_theorem9(
-    i_max: int,
+    i_max: int = 5,
     m_max: int = DEFAULT_M_MAX,
     n_max: int = DEFAULT_N_MAX,
     prefix: int = DEFAULT_PREFIX,
@@ -180,7 +180,7 @@ def run_theorem9(
 
 
 def run_theorem5(
-    i_max: int,
+    i_max: int = 5,
     m_max: int = DEFAULT_M_MAX,
     n_max: int = DEFAULT_N_MAX,
     prefix: int = DEFAULT_PREFIX,

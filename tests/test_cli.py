@@ -499,6 +499,22 @@ def test_repro_lemma5(capsys):
     assert report["pairs"][0]["growth"][0]["strictly_increasing"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["lemma5", "--prefix", "7", "--imax", "1"], "--prefix"),
+        (["examples", "--imax", "1", "--schedule", "3"], "--imax"),
+        (["examples", "-N", "5"], "--prefix"),
+        (["theorem9", "--imax", "2", "--schedule", "5"], "--schedule"),
+        (["theorem5", "--mmax", "1", "--schedule", "5,10"], "--schedule"),
+    ],
+)
+def test_repro_refuses_options_the_experiment_does_not_read(capsys, argv, option):
+    code, out, err = run(capsys, "repro", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: repro {argv[0]} does not take {option}\n"
+
+
 # --- usage -------------------------------------------------------------------------
 
 

@@ -238,7 +238,7 @@ def test_union_families_have_witnesses_everywhere():
     report = search_shift_witnesses(
         build_A(1).listing(), build_A(2).listing(), 10, 10, 200
     )
-    assert report.all_witnessed()
+    assert all(c.witness is not None for c in report.cells)
     assert len(report.cells) == 121
 
 
