@@ -88,14 +88,14 @@ def _resolve_base(text: str) -> SetSpec:
     if kind == "finite:":
         return finite_listing(_values(rest, ","))
     if kind == "dyadic:":
-        lines = Path(rest).read_text(encoding="utf-8").splitlines()
+        lines = Path(rest).read_text(encoding="utf-8-sig").splitlines()
         indices = [line.split("#", 1)[0] for line in lines]
         index_spec = finite_listing([parse_rational(m) for m in indices if m.strip()])
         return builtin_dyadic(index_spec, text)
     if kind == "seq:":
         path_text, i_text = rest.rsplit(":i=", 1) if ":i=" in rest else (rest, "1")
         i_value = _int(i_text)
-        expr = parse(Path(path_text).read_text(encoding="utf-8"))
+        expr = parse(Path(path_text).read_text(encoding="utf-8-sig"))
         return seq_spec(expr, i_value, f"seq:{path_text}:i={i_value}")
     raise ValueError("unknown family")
 

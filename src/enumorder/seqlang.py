@@ -13,6 +13,11 @@ sequence. Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     atom     := int | "n" | "i" | "(" expr ")"
     int      := [0-9]+
 
+The token pattern ``_TOKEN`` is the lexical part of this grammar: it skips
+blanks and comments and reads ints, names (runs of letters, as
+``str.isalpha`` counts them) and the symbols. A name matches a keyword of the
+grammar by its text, but never as the token kind ``int`` or ``end``.
+
 Power binds tighter than unary minus, which binds tighter than ``*``/``/``,
 then ``+``/``-``; equal-precedence binary operators associate left.
 Exponents are literal nonnegative integers; rationals arise by division.
@@ -36,6 +41,7 @@ it either ends with an unguarded or ``otherwise`` clause, or contains both
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -54,7 +60,7 @@ MAX_DEPTH = 200
 
 
 class SeqSyntaxError(ValueError):
-    """Parse failure, with the byte offset and the expected-token set."""
+    """Parse failure, with the character offset into the text and the expected-token set."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):
         expected_text = " or ".join(expected)
@@ -158,57 +164,46 @@ SequenceExpr = Expr | Piecewise
 
 # --- Tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ":", ";", "<", ">=")
+# Blanks and comments, skipped, then one token per named group, or the end.
+# A ">" without "=" is stray. \w also takes numerals such as "²", so a name is
+# checked with str.isalpha.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:(?P<int>[0-9]+)|(?P<name>[^\W\d_]+)"
+    r"|(?P<symbol>>=|[-+*/^():;<])|(?P<stray>.)|(?P<end>\Z))",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
-    kind: str  # "int" | "name" | one of _SYMBOLS | "end"
+    kind: str  # "int", "end", "name" for a name spelling either, else the text
     text: str
     offset: int
 
 
 def _tokenize(text: str) -> list[_Token]:
+    # Each match starts where the last one ended, the end token's match last.
     tokens = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "#":
-            while pos < size and text[pos] != "\n":
-                pos += 1
-            continue
-        if "0" <= ch <= "9":
-            start = pos
-            while pos < size and "0" <= text[pos] <= "9":
-                pos += 1
-            tokens.append(_Token("int", text[start:pos], start))
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < size and text[pos].isalpha():
-                pos += 1
-            tokens.append(_Token("name", text[start:pos], start))
-            continue
-        if ch == ">":
-            if text[pos : pos + 2] == ">=":
-                tokens.append(_Token(">=", ">=", pos))
-                pos += 2
-                continue
-            raise SeqSyntaxError(pos, (">=",), repr(ch))
-        if ch in "+-*/^():;<":
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        raise SeqSyntaxError(pos, ("digit", "name", "operator"), repr(ch))
-    tokens.append(_Token("end", "", size))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        word, offset = match[group], match.start(group)
+        if group == "name" and not word.isalpha():
+            # The first non-letter ends the name and is itself stray.
+            stray = next(ch for ch in word if not ch.isalpha())
+            group, word, offset = "stray", stray, offset + word.index(stray)
+        if group == "stray":
+            expected = (">=",) if word == ">" else ("digit", "name", "operator")
+            raise SeqSyntaxError(offset, expected, repr(word))
+        kind = word if group in ("name", "symbol") and word not in ("int", "end") else group
+        tokens.append(_Token(kind, word, offset))
+        if group == "end":
+            return tokens
 
 
 # --- Parser ------------------------------------------------------------------
+
+# The binary operators, loosest level first.
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 class _Parser:
@@ -220,70 +215,46 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def take(self, *choices: str) -> _Token:
+        """The next token, consumed, if its kind is one of ``choices``."""
         token = self.tokens[self.pos]
+        if token.kind not in choices:
+            found = "end of input" if token.kind == "end" else repr(token.text)
+            raise SeqSyntaxError(token.offset, choices, found)
         self.pos += 1
         return token
-
-    def fail(self, expected: tuple[str, ...]) -> SeqSyntaxError:
-        token = self.peek()
-        found = "end of input" if token.kind == "end" else repr(token.text)
-        return SeqSyntaxError(token.offset, expected, found)
 
     def degree_error(self, exponent: _Token) -> SeqSyntaxError:
         expected = f"an exponent and a degree in n <= {MAX_DEGREE}"
         text = exponent.text if len(exponent.text) <= 20 else exponent.text[:20] + "..."
         return SeqSyntaxError(exponent.offset, (expected,), repr(text))
 
-    def expect(self, kind: str) -> _Token:
-        if self.peek().kind != kind:
-            raise self.fail((kind,))
-        return self.advance()
-
     def parse_file(self) -> SequenceExpr:
         clauses = [self.parse_defn()]
-        while self.peek().kind == ";":
-            self.advance()
+        while self.peek().kind != "end":
+            self.take(";")
             clauses.append(self.parse_defn())
-        if self.peek().kind != "end":
-            raise self.fail((";",))
         if len(clauses) == 1 and clauses[0].guard is None:
             return clauses[0].body
         _check_total(clauses)
         return Piecewise(tuple(clauses))
 
     def parse_defn(self) -> Clause:
-        token = self.peek()
-        if token.kind == "name" and token.text == "case":
-            self.advance()
+        guard = None
+        if self.peek().kind == "case":
+            self.take("case")
             guard = self.parse_guard()
-            self.expect(":")
-            return Clause(guard, self.parse_expr()[0])
-        return Clause(None, self.parse_expr()[0])
+            self.take(":")
+        return Clause(guard, self.parse_expr()[0])
 
     def parse_guard(self) -> Guard:
-        token = self.peek()
-        if token.kind != "name":
-            raise self.fail(("i", "n", "otherwise"))
-        if token.text == "otherwise":
-            self.advance()
+        token = self.take("i", "n", "otherwise")
+        if token.kind == "otherwise":
             return Otherwise()
-        if token.text == "i":
-            self.advance()
-            parity = self.peek()
-            if parity.kind == "name" and parity.text in ("odd", "even"):
-                self.advance()
-                return ParityGuard(parity.text)
-            raise self.fail(("odd", "even"))
-        if token.text == "n":
-            self.advance()
-            op = self.peek()
-            if op.kind in ("<", ">="):
-                self.advance()
-                bound = self.expect("int")
-                return ThresholdGuard(op.kind, parse_rational(bound.text).numerator)
-            raise self.fail(("<", ">="))
-        raise self.fail(("i", "n", "otherwise"))
+        if token.kind == "i":
+            return ParityGuard(self.take("odd", "even").text)
+        op = self.take("<", ">=")
+        return ThresholdGuard(op.kind, parse_rational(self.take("int").text).numerator)
 
     def nest(self, token: _Token, depth: int) -> int:
         """Depth of the node that ``token`` opens over a child of ``depth``."""
@@ -294,28 +265,24 @@ class _Parser:
 
     # The expression methods return each node with its nesting depth.
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, depth = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right, right_depth = self.parse_term()
-            node, depth = BinOp(op.kind, node, right), self.nest(op, max(depth, right_depth))
-        return node, depth
-
-    def parse_term(self) -> tuple[Expr, int]:
-        node, depth = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right, right_depth = self.parse_factor()
+    def parse_expr(self, level: int = 0) -> tuple[Expr, int]:
+        """Operands joined by the operators of ``_LEVELS[level]``, left to right;
+        each operand is the next level, or a factor after the last. Called
+        directly, so that each parenthesis level takes four frames."""
+        operators = _LEVELS[level]
+        node, depth = self.parse_factor() if level else self.parse_expr(1)
+        while self.peek().kind in operators:
+            op = self.take(*operators)
+            right, right_depth = self.parse_factor() if level else self.parse_expr(1)
             node, depth = BinOp(op.kind, node, right), self.nest(op, max(depth, right_depth))
         return node, depth
 
     def parse_factor(self) -> tuple[Expr, int]:
-        minus = self.advance() if self.peek().kind == "-" else None
+        minus = self.take("-") if self.peek().kind == "-" else None
         node, depth = self.parse_atom()
         if self.peek().kind == "^":
-            caret = self.advance()
-            exponent = self.expect("int")
+            caret = self.take("^")
+            exponent = self.take("int")
             digits = exponent.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise self.degree_error(exponent)
@@ -327,26 +294,21 @@ class _Parser:
         return node, depth
 
     def parse_atom(self) -> tuple[Expr, int]:
-        token = self.peek()
+        token = self.take("int", "n", "i", "(")
         if token.kind == "int":
-            self.advance()
             # parse_rational reads integers of any length.
             return Lit(parse_rational(token.text).numerator), 0
-        if token.kind == "name" and token.text in ("n", "i"):
-            self.advance()
+        if token.kind in ("n", "i"):
             return Var(token.text), 0
-        if token.kind == "(":
-            # Checked before descending, so that deep parentheses cannot
-            # exhaust the stack: a group is at least as deep as the number
-            # of parentheses open around it, its own included.
-            self.nest(token, self.open)
-            self.advance()
-            self.open += 1
-            node, depth = self.parse_expr()
-            self.open -= 1
-            self.expect(")")
-            return node, self.nest(token, depth)
-        raise self.fail(("int", "n", "i", "("))
+        # Checked before descending, so that deep parentheses cannot exhaust
+        # the stack: a group is at least as deep as the number of parentheses
+        # open around it, its own included.
+        self.nest(token, self.open)
+        self.open += 1
+        node, depth = self.parse_expr()
+        self.open -= 1
+        self.take(")")
+        return node, self.nest(token, depth)
 
 
 def _degree(e: Expr) -> int:

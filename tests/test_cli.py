@@ -116,6 +116,23 @@ def test_resolve_dyadic_file(tmp_path):
     assert [str(v) for v in spec.listing().prefix(3)] == ["1/8", "1/2", "1/4"]
 
 
+def test_seq_file_may_start_with_a_bom(tmp_path, capsys):
+    # A leading byte order mark is not part of the text: offsets count from
+    # the character after it.
+    (tmp_path / "bom.seq").write_bytes(b"\xef\xbb\xbf1/n\n")
+    assert run(capsys, "list", f"seq:{tmp_path}/bom.seq", "--count", "3") == (0, "1, 1/2, 1/3\n", "")
+    (tmp_path / "bad.seq").write_bytes(b"\xef\xbb\xbfn ^ int\n")
+    assert run(capsys, "list", f"seq:{tmp_path}/bad.seq") == (
+        1, "", f"error: segment 'seq:{tmp_path}/bad.seq': offset 4: expected int, found 'int'\n")
+
+
+def test_dyadic_file_may_start_with_a_bom(tmp_path):
+    path = tmp_path / "indices.txt"
+    path.write_bytes(b"\xef\xbb\xbf3\n1\n2\n")
+    spec = resolve_family(f"dyadic:{path}")
+    assert [str(v) for v in spec.listing().prefix(3)] == ["1/8", "1/2", "1/4"]
+
+
 # --- list --------------------------------------------------------------------------
 
 

@@ -73,6 +73,42 @@ def test_parse_error_on_unknown_character():
         assert failure.value.offset == offset, text
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("int", "offset 0: expected int or n or i or (, found 'int'"),
+        ("n^int", "offset 2: expected int, found 'int'"),
+        ("n end", "offset 2: expected ;, found 'end'"),
+        ("case int: n", "offset 5: expected i or n or otherwise, found 'int'"),
+        ("case i int: n", "offset 7: expected odd or even, found 'int'"),
+        ("case n < int: n", "offset 9: expected int, found 'int'"),
+        ("case n n: n", "offset 7: expected < or >=, found 'n'"),
+        ("n > 1", "offset 2: expected >=, found '>'"),
+        ("", "offset 0: expected int or n or i or (, found end of input"),
+        ("# only a comment\n", "offset 17: expected int or n or i or (, found end of input"),
+        ("(n", "offset 2: expected ), found end of input"),
+        ("n)", "offset 1: expected ;, found ')'"),
+        ("n;", "offset 2: expected int or n or i or (, found end of input"),
+        ("case i odd n", "offset 11: expected :, found 'n'"),
+        ("case otherwise n", "offset 15: expected :, found 'n'"),
+        ("n^-2", "offset 2: expected int, found '-'"),
+        ("n x", "offset 2: expected ;, found 'x'"),
+        ("n²", "offset 1: expected digit or name or operator, found '²'"),
+        ("nⅫ+1", "offset 1: expected digit or name or operator, found 'Ⅻ'"),
+        ("\ufeffn", "offset 0: expected digit or name or operator, found '\\ufeff'"),
+        ("n_i", "offset 1: expected digit or name or operator, found '_'"),
+        ("n +\v1", "offset 3: expected digit or name or operator, found '\\x0b'"),
+        ("n @ n^int", "offset 2: expected digit or name or operator, found '@'"),
+        # Offsets count characters: "é" is one, though two bytes in UTF-8.
+        ("é @", "offset 2: expected digit or name or operator, found '@'"),
+    ],
+)
+def test_malformed_input_messages(text, message):
+    with pytest.raises(SeqSyntaxError) as failure:
+        parse(text)
+    assert str(failure.value) == message
+
+
 def test_power_at_the_degree_cap_parses():
     assert parse(f"(n+1)^{MAX_DEGREE}") == Pow(BinOp("+", Var("n"), Lit(1)), MAX_DEGREE)
     assert parse("n^000003") == Pow(Var("n"), 3)
