@@ -29,17 +29,7 @@ from .listings import (
     remove_finite,
     shift_spec,
 )
-from .ordertype import (
-    OMEGA,
-    OMEGA_STAR,
-    Concat,
-    Dense,
-    Descriptor,
-    Direction,
-    Fin,
-    block_signature,
-    refute_type2,
-)
+from .ordertype import OMEGA, OMEGA_STAR, block_signature, refute_type2
 from .rational import format_rational, parse_rational
 from .seqlang import SequenceExpr, parse, seq_spec
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec
-from .ordertype import Direction, block_signature
+from .ordertype import OMEGA, OMEGA_STAR
 
 
 @dataclass(frozen=True)
@@ -358,8 +358,7 @@ def match_listing(
     shows.
     """
     h_ranks = _ranks(h.listing().try_prefix(prefix_len))
-    signature = block_signature(h.descriptor)
-    omega, omega_star = signature == [Direction.ASC], signature == [Direction.DESC]
+    omega, omega_star = h.descriptor == OMEGA, h.descriptor == OMEGA_STAR
     listing = target.listing()
     walk = iter(listing)
     pool, keys = listing.values, listing.keys

@@ -35,7 +35,7 @@ from .listings import (
     interleave,
     rationals_in_interval,
 )
-from .ordertype import format_descriptor, refute_type2
+from .ordertype import refute_type2
 from .rational import format_rational
 
 DEFAULT_M_MAX = 10
@@ -78,10 +78,6 @@ class _Texts(dict):
         return text
 
 
-def _descriptor_text(spec: SetSpec) -> str | None:
-    return None if spec.descriptor is None else format_descriptor(spec.descriptor)
-
-
 def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Sequence[Cell]) -> dict:
     """One pair as the report schema writes it: the descriptor verdict
     beside the witness cells searched on ``h`` and ``g``, the pair's
@@ -101,8 +97,8 @@ def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Seque
     return {
         "left": spec_a.name,
         "right": spec_b.name,
-        "left_descriptor": _descriptor_text(spec_a),
-        "right_descriptor": _descriptor_text(spec_b),
+        "left_descriptor": spec_a.descriptor,
+        "right_descriptor": spec_b.descriptor,
         "descriptor_verdict": "unknown" if reason is None else "refuted",
         "reason": reason,
         "cells": [cell(c.m, c.n, c.witness) for c in cells],

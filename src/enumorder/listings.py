@@ -22,15 +22,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence
 
-from .ordertype import (
-    OMEGA,
-    OMEGA_STAR,
-    Concat,
-    Dense,
-    Descriptor,
-    Fin,
-    block_signature,
-)
+from .ordertype import DENSE, OMEGA, OMEGA_STAR, block_signature, fin, is_finite
 from .rational import format_rational
 
 # A gap oracle answers: does the set meet the open interval (lo, hi)?
@@ -172,7 +164,7 @@ class SetSpec:
 
     name: str
     make_stream: Callable[[], Iterator[Fraction]]
-    descriptor: Descriptor | None = None
+    descriptor: str | None = None
     gap_oracle: GapOracle | None = None
 
     def listing(self) -> Listing:
@@ -385,7 +377,7 @@ def build_A(i: int) -> SetSpec:
         for values in rounds:
             yield from values
 
-    descriptor = Concat(tuple(b.descriptor for b in blocks))
+    descriptor = " + ".join(b.descriptor for b in blocks)
     oracle = _union_oracle([b.gap_oracle for b in blocks])
     return SetSpec(f"A:{i}", stream, descriptor, oracle)
 
@@ -441,7 +433,7 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
     name = f"interval:{format_rational(a)},{format_rational(b)}"
     if a == b:
         single = finite_listing([a])
-        return SetSpec(name, single.make_stream, Fin(1), single.gap_oracle)
+        return SetSpec(name, single.make_stream, fin(1), single.gap_oracle)
 
     has_zero, neg_lo, neg_hi = a <= 0 <= b, -b, -a
 
@@ -456,7 +448,7 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
         # With a < b, (lo, hi) meets [a, b] iff its clipped ends stay in order.
         return (a if lo is None else max(lo, a)) < (b if hi is None else min(hi, b))
 
-    return SetSpec(name, stream, Dense(), oracle)
+    return SetSpec(name, stream, DENSE, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +466,16 @@ def finite_listing(values: Sequence[Fraction]) -> SetSpec:
         yield from vals
 
     name = "finite:" + ",".join(format_rational(v) for v in vals)
-    return SetSpec(name, stream, Fin(len(vals)), _finite_oracle(vals))
+    return SetSpec(name, stream, fin(len(vals)), _finite_oracle(vals))
 
 
 def _minus_finite(spec: SetSpec, removed: Sequence[Fraction], name: str) -> SetSpec:
     """The set minus finitely many values, listed in the original order.
 
     Deleting finitely many points leaves every infinite block infinite, so a
-    ``W``/``W*`` descriptor is kept. ``FIN(k)`` loses the removed values among
-    its k listed ones. Any other shape becomes unknown: deletions can move a
-    dense block's endpoints.
+    ``W``/``W*`` descriptor is kept. A finite set gets ``FIN(k)`` for the k
+    values its edited listing holds, walked to its end. Any other shape
+    becomes unknown: deletions can move a dense block's endpoints.
     """
     # Keyed by (numerator, denominator), like the listing's dedup.
     keys = frozenset((v.numerator, v.denominator) for v in removed)
@@ -494,13 +486,12 @@ def _minus_finite(spec: SetSpec, removed: Sequence[Fraction], name: str) -> SetS
     def stream() -> Iterator[Fraction]:
         return filter(kept, spec.listing())
 
-    descriptor = spec.descriptor
-    if isinstance(descriptor, Fin):
-        listed = spec.listing().try_prefix(descriptor.size)
-        descriptor = Fin(descriptor.size - sum(not kept(v) for v in listed))
-    elif block_signature(descriptor) is None:
-        descriptor = None
-    return SetSpec(name, stream, descriptor, _minus_finite_oracle(spec.gap_oracle, removed))
+    edited = SetSpec(name, stream, None, _minus_finite_oracle(spec.gap_oracle, removed))
+    if is_finite(spec.descriptor):
+        edited.descriptor = fin(len(list(edited.listing())))
+    elif block_signature(spec.descriptor) is not None:
+        edited.descriptor = spec.descriptor
+    return edited
 
 
 def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
@@ -523,7 +514,10 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     Disjointness is checked against the first ``EDIT_SCAN_PREFIX`` produced
     values (and rejects duplicates within ``values`` itself); membership
     deeper in the stream is not decidable here, so a clash beyond the scanned
-    prefix would surface only as a skipped duplicate in the listing.
+    prefix would surface only as a skipped duplicate in the listing. A finite
+    set gets ``FIN(k)`` for the k values its edited listing holds, walked to
+    its end, so such a duplicate is not counted; every other descriptor
+    becomes unknown.
     """
     added = sorted(set(values))
     if len(added) != len(list(values)):
@@ -542,13 +536,12 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         yield from added
         yield from spec.make_stream()
 
-    if isinstance(spec.descriptor, Fin):
-        descriptor = Fin(spec.descriptor.size + len(added))
-    else:
-        descriptor = None
     oracle = _union_oracle([spec.gap_oracle, _finite_oracle(added)])
     name = f"{spec.name}+add=" + ";".join(format_rational(v) for v in added)
-    return SetSpec(name, stream, descriptor, oracle)
+    edited = SetSpec(name, stream, None, oracle)
+    if is_finite(spec.descriptor):
+        edited.descriptor = fin(len(list(edited.listing())))
+    return edited
 
 
 def shift_spec(spec: SetSpec, m: int) -> SetSpec:

@@ -1,12 +1,14 @@
 """Symbolic linear-order shapes for the built-in set families.
 
-The algebra is deliberately small: a finite block (``FIN(k)``), an ascending
-infinite block (``W``), a descending infinite block (``W*``), the rationals of
-a closed interval (``Q[]``), and a concatenation of ``W``/``W*`` blocks. Each
-builder states its shape directly, and a descriptor is read as it is given:
-no normal form is computed. Descriptors are not unique up to isomorphism
-(one more point below a ``W`` block leaves an order isomorphic to ``W``), so
-a mismatch of descriptors alone refutes nothing.
+A descriptor is the text the reports print. The algebra is deliberately
+small: a finite block (``FIN(k)``), an ascending infinite block (``W``), a
+descending infinite block (``W*``), the rationals of a closed interval
+(``Q[]``), and ``W``/``W*`` blocks joined by ``" + "``. Each builder states
+its shape directly, and a descriptor is read as it is given: no normal form
+is computed. An edited finite set's ``FIN(k)`` counts the values its listing
+holds. Descriptors are not unique up to isomorphism (one more point below a
+``W`` block leaves an order isomorphic to ``W``), so a mismatch of
+descriptors alone refutes nothing.
 
 Only block signatures decide a verdict. The ascending/descending pattern of an
 all-infinite concatenation is invariant under finite edits of the set, so a
@@ -14,60 +16,35 @@ signature mismatch refutes even co-order up to finite differences
 (:func:`refute_type2`). Dense blocks are excluded from that route: deleting
 finitely many points can move a dense block's endpoints, so their interaction
 with finite edits is not settled here. Other modules read the ``W``/``W*``
-shape only through :func:`block_signature`.
+shape only through :func:`block_signature`, and finiteness only through
+:func:`is_finite`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+OMEGA = "W"
+OMEGA_STAR = "W*"
+DENSE = "Q[]"
 
 
-@dataclass(frozen=True)
-class Fin:
-    size: int
+def fin(k: int) -> str:
+    """The descriptor of a finite set of ``k`` values."""
+    return f"FIN({k})"
 
 
-@dataclass(frozen=True)
-class Omega:
-    pass
+def is_finite(d: str | None) -> bool:
+    """Whether ``d`` describes a finite set."""
+    return d is not None and d.startswith("FIN(")
 
 
-@dataclass(frozen=True)
-class OmegaStar:
-    pass
-
-
-@dataclass(frozen=True)
-class Dense:
-    pass
-
-
-@dataclass(frozen=True)
-class Concat:
-    blocks: tuple["Descriptor", ...]
-
-
-Descriptor = Fin | Omega | OmegaStar | Dense | Concat
-
-OMEGA = Omega()
-OMEGA_STAR = OmegaStar()
-
-
-class Direction(Enum):
-    ASC = "ASC"
-    DESC = "DESC"
-
-
-def block_signature(d: Descriptor | None) -> list[Direction] | None:
-    """Ascending/descending pattern of a ``W``/``W*`` block or a
-    concatenation of them; None for every other shape and for no descriptor.
+def block_signature(d: str | None) -> list[str] | None:
+    """``ASC``/``DESC`` pattern of a ``W``/``W*`` block or a concatenation
+    of them; None for every other shape and for no descriptor.
     """
     if d is None:
         return None
-    blocks = d.blocks if isinstance(d, Concat) else (d,)
-    directions = {Omega: Direction.ASC, OmegaStar: Direction.DESC}
-    signature = [directions.get(type(block)) for block in blocks]
+    directions = {OMEGA: "ASC", OMEGA_STAR: "DESC"}
+    signature = [directions.get(block) for block in d.split(" + ")]
     return None if None in signature else signature
 
 
@@ -85,17 +62,4 @@ def refute_type2(spec_a, spec_b) -> str | None:
     sig_b = block_signature(spec_b.descriptor)
     if sig_a is None or sig_b is None or sig_a == sig_b:
         return None
-    fmt = lambda sig: "[" + ",".join(s.value for s in sig) + "]"
-    return f"signature {fmt(sig_a)} != {fmt(sig_b)}"
-
-
-def format_descriptor(d: Descriptor) -> str:
-    if isinstance(d, Fin):
-        return f"FIN({d.size})"
-    if isinstance(d, Omega):
-        return "W"
-    if isinstance(d, OmegaStar):
-        return "W*"
-    if isinstance(d, Dense):
-        return "Q[]"
-    return " + ".join(format_descriptor(b) for b in d.blocks)
+    return f"signature [{','.join(sig_a)}] != [{','.join(sig_b)}]"

@@ -33,7 +33,7 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
-from enumorder.ordertype import Direction, block_signature
+from enumorder.ordertype import block_signature
 from enumorder.rational import format_rational
 from enumorder.seqlang import (
     MAX_POWER_BITS,
@@ -307,7 +307,7 @@ def match_listing_eager(h, target, prefix_len, fuel):
             if exhausted:
                 return GapEmpty(k, lo, hi, True, "target exhausted; no usable element in gap")
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
-                unbounded_end = {Direction.ASC: hi, Direction.DESC: lo}
+                unbounded_end = {"ASC": hi, "DESC": lo}
                 signature = block_signature(h.descriptor) or []
                 refutes = len(signature) == 1 and unbounded_end[signature[0]] is None
                 detail = "gap oracle certifies the gap empty"

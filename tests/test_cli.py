@@ -367,7 +367,6 @@ def test_format_default_does_not_leak_between_calls(capsys):
 
 def test_type2_json_descriptor_text_round_trips(capsys):
     from enumorder.listings import build_A
-    from enumorder.ordertype import format_descriptor
 
     code, out, err = run(
         capsys,
@@ -376,8 +375,8 @@ def test_type2_json_descriptor_text_round_trips(capsys):
         "--format", "json",
     )
     pair = json.loads(out)["pairs"][0]
-    assert pair["left_descriptor"] == format_descriptor(build_A(1).descriptor)
-    assert pair["right_descriptor"] == format_descriptor(build_A(2).descriptor)
+    assert pair["left_descriptor"] == build_A(1).descriptor
+    assert pair["right_descriptor"] == build_A(2).descriptor
 
 
 def test_type2_json_refutes_a_shifted_family_by_signature(capsys):

@@ -8,9 +8,10 @@ Every name the package exports is used: some other module of the package
 refers to it, or README's "Library use" block imports it. Code that only
 tests call lives with the tests.
 
-Only ``ordertype.py`` names the ``W``/``W*`` block classes ``Omega`` and
-``OmegaStar``; other modules build descriptors from the ``OMEGA`` and
-``OMEGA_STAR`` constants and read their shape through ``block_signature``.
+Only ``ordertype.py`` spells a descriptor's or signature's text (``W``,
+``W*``, ``Q[]``, ``FIN(k)``, ``ASC``, ``DESC``); other modules build
+descriptors from its constants and ``fin``, and read them through
+``block_signature`` and ``is_finite``.
 """
 
 import ast
@@ -74,43 +75,52 @@ def test_rule_catches_both_forms(tmp_path):
     ]
 
 
-W_SHAPE_CLASSES = {"Omega", "OmegaStar"}
+SHAPE_TEXTS = {"W", "W*", "Q[]", "ASC", "DESC"}
 
 
-def w_shape_references(package: Path) -> list[str]:
-    """``file:line: name`` for every mention of a ``W``/``W*`` block class
-    outside ``ordertype.py``."""
+def _docstrings(tree: ast.Module) -> set[int]:
+    """``id`` of each docstring constant in ``tree``."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+
+
+def shape_text_constants(package: Path) -> list[str]:
+    """``file:line: text`` for every string constant outside ``ordertype.py``
+    that spells a descriptor or signature shape: ``W``, ``W*``, ``Q[]``,
+    ``ASC``, ``DESC``, or text starting ``FIN(``. Docstrings are exempt."""
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "ordertype.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found += [(path.name, node.lineno, n) for n in names if n in W_SHAPE_CLASSES]
-    return [f"{name}:{line}: {n}" for name, line, n in sorted(found)]
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and (node.value in SHAPE_TEXTS or node.value.startswith("FIN("))
+                and id(node) not in docstrings
+            ):
+                found.append((path.name, node.lineno, node.value))
+    return [f"{name}:{line}: {text!r}" for name, line, text in sorted(found)]
 
 
-def test_only_ordertype_names_the_w_shape_classes():
-    assert w_shape_references(PACKAGE) == []
+def test_only_ordertype_spells_the_shape_texts():
+    assert shape_text_constants(PACKAGE) == []
 
 
-def test_w_shape_rule_catches_imports_and_attributes(tmp_path):
-    (tmp_path / "ordertype.py").write_text(
-        "class Omega:\n    pass\n\n\nOMEGA = Omega()\n", encoding="utf-8"
-    )
+def test_shape_text_rule_catches_constants_and_f_strings(tmp_path):
+    (tmp_path / "ordertype.py").write_text('OMEGA = "W"\n', encoding="utf-8")
     (tmp_path / "b.py").write_text(
-        "from . import ordertype\nfrom .ordertype import OMEGA, Omega\n\n\n"
-        "def f(d):\n    return d is OMEGA or isinstance(d, ordertype.OmegaStar)\n",
+        '"""W"""\n\n\ndef f(d, k):\n    """FIN(k) is exempt here."""\n'
+        '    return d == "W*" or d == f"FIN({k})" or ["DESC"] or "Q[] + W"\n',
         encoding="utf-8",
     )
-    assert w_shape_references(tmp_path) == ["b.py:2: Omega", "b.py:6: OmegaStar"]
+    assert shape_text_constants(tmp_path) == ["b.py:6: 'DESC'", "b.py:6: 'FIN('", "b.py:6: 'W*'"]
 
 
 def library_use_imports(readme: str) -> set[str]:

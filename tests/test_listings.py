@@ -28,7 +28,7 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
-from enumorder.ordertype import Fin
+from enumorder.ordertype import fin
 from enumorder.seqlang import EvalDivisionByZero, parse, seq_spec
 
 from helpers import (
@@ -214,7 +214,7 @@ def test_remove_finite_keeps_infinite_block_descriptor():
 
 def test_remove_finite_recomputes_finite_size():
     spec = remove_finite(finite_listing([F(1), F(2), F(3)]), [F(2), F(9)])
-    assert spec.descriptor == Fin(2)
+    assert spec.descriptor == fin(2)
     assert spec.listing().try_prefix(10) == [F(1), F(3)]
 
 
@@ -340,7 +340,7 @@ def test_interval_no_repeats_in_long_prefix():
 def test_interval_degenerate_is_single_element():
     spec = rationals_in_interval(F(2, 7), F(2, 7))
     assert spec.listing().try_prefix(5) == [F(2, 7)]
-    assert spec.descriptor == Fin(1)
+    assert spec.descriptor == fin(1)
 
 
 def test_interval_rejects_reversed_bounds():
@@ -381,7 +381,7 @@ def test_finite_listing_empty():
 def test_finite_listing_order_preserved():
     spec = finite_listing([F(3), F(1, 2), F(5)])
     assert spec.listing().prefix(3) == [F(3), F(1, 2), F(5)]
-    assert spec.descriptor == Fin(3)
+    assert spec.descriptor == fin(3)
 
 
 def test_finite_listing_rejects_duplicates():

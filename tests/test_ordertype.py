@@ -15,27 +15,17 @@ from enumorder.listings import (
     remove_finite,
     shift_spec,
 )
-from enumorder.ordertype import (
-    Direction,
-    Fin,
-    block_signature,
-    format_descriptor,
-    refute_type2,
-)
+from enumorder.ordertype import block_signature, fin, refute_type2
 
 
 def test_block_signature_examples():
-    assert block_signature(build_A(1).descriptor) == [Direction.ASC]
-    assert block_signature(build_A(3).descriptor) == [
-        Direction.ASC,
-        Direction.DESC,
-        Direction.ASC,
-    ]
-    assert block_signature(build_T(2).descriptor) == [Direction.DESC]
+    assert block_signature(build_A(1).descriptor) == ["ASC"]
+    assert block_signature(build_A(3).descriptor) == ["ASC", "DESC", "ASC"]
+    assert block_signature(build_T(2).descriptor) == ["DESC"]
 
 
 def test_block_signature_rejects_unsupported_shapes():
-    assert block_signature(Fin(3)) is None
+    assert block_signature(fin(3)) is None
     assert block_signature(rationals_in_interval(Fraction(0), Fraction(1)).descriptor) is None
     assert block_signature(None) is None
 
@@ -61,7 +51,7 @@ def test_refuted_pairs_from_fixtures():
 # --- descriptors through the finite-edit modifiers ------------------------------
 
 
-def _infinite_edits(modifier, spec):
+def _small_edits(modifier, spec):
     """Shifts by 1..5; drops of two listed values and an absent one; adds of
     one new value."""
     for m in range(1, 6):
@@ -94,7 +84,7 @@ def test_each_modifier_keeps_the_descriptor_rule(modifier):
     # with it the verdict of the unmodified pair, survives. +add keeps no
     # infinite descriptor, so its verdicts are unknown.
     for i in range(1, 5):
-        for edited in _infinite_edits(modifier, build_A(i)):
+        for edited in _small_edits(modifier, build_A(i)):
             if modifier == "add":
                 assert edited.descriptor is None, edited.name
             for j in range(1, 5):
@@ -105,7 +95,13 @@ def test_each_modifier_keeps_the_descriptor_rule(modifier):
         size = len(values)
         for edited in _finite_edits(modifier, finite_listing(values), size):
             listed = edited.listing().try_prefix(size + 5)
-            assert edited.descriptor == Fin(len(listed)), edited.name
+            assert edited.descriptor == fin(len(listed)), edited.name
+    # A base longer than EDIT_SCAN_PREFIX: +add=550 clashes beyond the
+    # scanned prefix, so the listing skips the duplicate and holds 600 values.
+    long = add_finite(finite_listing([Fraction(k) for k in range(600)]), [Fraction(550)])
+    for edited in [long, *_small_edits(modifier, long)]:
+        listed = edited.listing().try_prefix(605)
+        assert edited.descriptor == fin(len(listed)), edited.name
 
 
 def test_descriptor_text_examples():
@@ -118,7 +114,7 @@ def test_descriptor_text_examples():
         (shift_spec(build_A(2), 3), "W + W*"),
     ]
     for spec, text in examples:
-        assert format_descriptor(spec.descriptor) == text, spec.name
+        assert spec.descriptor == text, spec.name
     assert add_finite(builtin_thirds(), [Fraction(-1)]).descriptor is None
 
 
@@ -161,5 +157,5 @@ def test_interval_values_stay_inside_bounds():
 
 def test_finite_descriptor_counts_values():
     spec = finite_listing([Fraction(3), Fraction(1, 2), Fraction(5)])
-    assert spec.descriptor == Fin(3)
+    assert spec.descriptor == fin(3)
     assert len(spec.listing().try_prefix(10)) == 3
