@@ -5,7 +5,6 @@ from .coorder import (
     FuelExhausted,
     GapEmpty,
     MatchSuccess,
-    WitnessPair,
     WitnessReport,
     finite_coorder,
     match_listing,

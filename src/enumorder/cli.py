@@ -29,7 +29,6 @@ from .coorder import (
     match_listing,
     prefix_coorder,
 )
-from .experiments import ReproReport
 from .listings import (
     ListingExhausted,
     SetSpec,
@@ -165,16 +164,15 @@ def _cells_text(cells: list[dict], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _report_json(report: ReproReport) -> str:
-    """``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``; each
-    pair's cells, at the same depth in every report, are written by
-    :func:`_cells_text` into the place a NaN held for them. The text
-    ``"cells": NaN`` marks nothing else: the quotes in a string are always
-    escaped, and no report field is NaN."""
-    doc = report.to_json_dict()
-    pairs = doc["pairs"]
-    doc["pairs"] = [{**pair, "cells": math.nan} for pair in pairs]
-    parts = json.dumps(doc, indent=2, sort_keys=True).split('"cells": NaN')
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``; each pair's cells,
+    at the same depth in every report, are written by :func:`_cells_text`
+    into the place a NaN held for them in a copy of the report, which
+    itself is left as it was. The text ``"cells": NaN`` marks nothing else:
+    the quotes in a string are always escaped, and no report field is NaN."""
+    pairs = report["pairs"]
+    skeleton = {**report, "pairs": [{**pair, "cells": math.nan} for pair in pairs]}
+    parts = json.dumps(skeleton, indent=2, sort_keys=True).split('"cells": NaN')
     if len(parts) != len(pairs) + 1:
         raise RuntimeError(f"{len(parts) - 1} cell placeholders for {len(pairs)} pairs")
     cells = [_cells_text(pair["cells"], "\n      ") for pair in pairs]
@@ -247,14 +245,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
-    w = prefix_coorder(spec_a.listing(), spec_b.listing(), args.prefix)
+    h, g = spec_a.listing(), spec_b.listing()
+    w = prefix_coorder(h, g, args.prefix)
     if w is None:
         print(f"agree on prefix {args.prefix}: {spec_a.name} ~ {spec_b.name}")
         return EXIT_OK
+    i, j = w
+    hv, gv = h.values, g.values
     print(
-        f"disagree at (i={w.i}, j={w.j}): "
-        f"{spec_a.name} orders {format_rational(w.h_i)} vs {format_rational(w.h_j)}, "
-        f"{spec_b.name} orders {format_rational(w.g_i)} vs {format_rational(w.g_j)}"
+        f"disagree at (i={i}, j={j}): "
+        f"{spec_a.name} orders {format_rational(hv[i])} vs {format_rational(hv[j])}, "
+        f"{spec_b.name} orders {format_rational(gv[i])} vs {format_rational(gv[j])}"
     )
     return EXIT_NEGATIVE
 
@@ -263,7 +264,7 @@ def _cmd_type2(args: argparse.Namespace) -> int:
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
     report = experiments.run_type2(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
-    clean = [c for c in report.pairs[0]["cells"] if c["witness"] is None]
+    clean = [c for c in report["pairs"][0]["cells"] if c["witness"] is None]
     if args.format == "json":
         _emit(_report_json(report), args.out)
     elif clean:
@@ -271,7 +272,7 @@ def _cmd_type2(args: argparse.Namespace) -> int:
         _emit(f"candidate shift pairs with no witness below {args.prefix}: {cells}", args.out)
     else:
         _emit(f"every shift pair has a witness below {args.prefix}", args.out)
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return EXIT_OK if report["passed"] else EXIT_NEGATIVE
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -322,7 +323,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     run = getattr(experiments, f"run_{args.name}")
     report = run(**{reads[key]: getattr(args, key) for key in given})
     _emit(_report_json(report), args.out)
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return EXIT_OK if report["passed"] else EXIT_NEGATIVE
 
 
 def _integer(text: str) -> int:

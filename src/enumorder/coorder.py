@@ -2,10 +2,11 @@
 
 Two listings agree on a prefix of length N (are co-ordered there) when the
 relative order of every index pair coincides, equivalently when their order
-patterns — the rank permutations of the prefixes — are equal. A witness pair
-records two indices the listings order oppositely, together with the four
-compared values. Disagreement has that finite certificate and agreement has
-none, so a check, like each shift cell below, returns a witness or None.
+patterns — the rank permutations of the prefixes — are equal. A witness is
+the index pair (i, j) the listings order oppositely; the four values it
+compares are the listings' values there. Disagreement has that finite
+certificate and agreement has none, so a check, like each shift cell below,
+returns a witness or None.
 
 Shifted disagreement sets generalize this: for shifts (m, n), the witness
 pairs are all (i, j) with ``h(i+m) < h(j+m)`` and ``g(i+n) > g(j+n)``. A
@@ -26,23 +27,6 @@ from itertools import accumulate, islice
 
 from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
-
-
-@dataclass(frozen=True)
-class WitnessPair:
-    """An index pair ordered oppositely by two listings.
-
-    Exactly one of ``h_i < h_j`` and ``g_i < g_j`` holds; the four fields
-    record the compared values (after shifting, when shifts are in play —
-    the indices themselves are pre-shift).
-    """
-
-    i: int
-    j: int
-    h_i: Fraction
-    h_j: Fraction
-    g_i: Fraction
-    g_j: Fraction
 
 
 def _ranks(values: list[Fraction]) -> list[int]:
@@ -101,7 +85,7 @@ class RankStream:
 
 def _cell_witness(
     hs: RankStream, gs: RankStream, m: int, n: int, length: int, h_need: int
-) -> WitnessPair | None:
+) -> tuple[int, int] | None:
     """The minimal witness of cell (m, n) below ``length``; None for a
     candidate.
 
@@ -143,14 +127,10 @@ def _cell_witness(
         for i, ((a, b), (c, e)) in enumerate(earlier)
         if (a * hq < hp * b) != (c * gq < gp * e)
     )
-    hv, gv = hs.listing.values, gs.listing.values
-    h_i, h_d, g_i, g_d = hv[m + i], hv[m + d], gv[n + i], gv[n + d]
-    if hr[d] > gr[d]:
-        return WitnessPair(i, d, h_i, h_d, g_i, g_d)
-    return WitnessPair(d, i, h_d, h_i, g_d, g_i)
+    return (i, d) if hr[d] > gr[d] else (d, i)
 
 
-def prefix_coorder(h: Listing, g: Listing, length: int) -> WitnessPair | None:
+def prefix_coorder(h: Listing, g: Listing, length: int) -> tuple[int, int] | None:
     """The disagreement witness on prefixes of the given length, or None
     when they agree.
 
@@ -165,9 +145,7 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> WitnessPair | None:
     error is raised only when agreement would need the missing values.
     """
     w = search_shift_witnesses(h, g, 0, 0, length).cells[0].witness
-    if w is not None and w.i > w.j:
-        return WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
-    return w
+    return None if w is None else (min(w), max(w))
 
 
 def witness_projections(
@@ -200,7 +178,7 @@ class Cell:
 
     m: int
     n: int
-    witness: WitnessPair | None
+    witness: tuple[int, int] | None
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,24 @@
 """Scripted desk-scale experiment runs with machine-readable reports.
 
-Each run produces a :class:`ReproReport` whose JSON form is deterministic:
-identical parameters yield identical output apart from the ``timing`` field.
-Every report, the one ``type2`` writes included, is built here by one helper
-that also measures its ``timing``; the command line only writes it.
-Per-pair results carry a descriptor verdict (symbolic route) next to the
-per-shift witness cells (empirical route); the two routes never contradict
-each other on the built-in families, and the reports make the finite search
-bounds explicit rather than baking them in.
+Each run produces a report, the dict of the JSON schema (``experiment``,
+``params``, ``pairs``, ``fixtures``, ``passed``, ``timing``), which is
+deterministic: identical parameters yield identical output apart from the
+``timing`` field. Every report, the one ``type2`` writes included, is built
+here by one helper that also measures its ``timing``; the command line only
+writes it. Per-pair results carry a descriptor verdict (symbolic route) next
+to the per-shift witness cells (empirical route); the two routes never
+contradict each other on the built-in families, and the reports make the
+finite search bounds explicit rather than baking them in.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .coorder import (
     Cell,
-    WitnessPair,
     finite_coorder,
     prefix_coorder,
     search_shift_witnesses,
@@ -46,24 +45,9 @@ DEFAULT_GROWTH_SHIFTS = ((0, 0), (3, 1), (7, 7))
 DEFAULT_GROWTH_SCHEDULE = (50, 100, 200, 400)
 
 
-@dataclass
-class ReproReport:
-    experiment: str
-    params: dict
-    pairs: list[dict]
-    fixtures: dict = field(default_factory=dict)
-    passed: bool = False
-    elapsed_seconds: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "pairs": self.pairs,
-            "fixtures": self.fixtures,
-            "passed": self.passed,
-            "timing": {"elapsed_seconds": self.elapsed_seconds},
-        }
+# The runners' return type: a report is the dict its JSON schema documents.
+# bench/layers.py reads this name when its tracer installs.
+ReproReport = dict
 
 
 class _Texts(dict):
@@ -86,10 +70,10 @@ def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Seque
     reason = refute_type2(spec_a, spec_b)
     ht, gt = _Texts(h), _Texts(g)
 
-    def cell(m: int, n: int, w: WitnessPair | None) -> dict:
+    def cell(m: int, n: int, w: tuple[int, int] | None) -> dict:
         if w is None:
             return {"m": m, "n": n, "witness": None}
-        i, j = w.i, w.j
+        i, j = w
         h_i, h_j, g_i, g_j = ht[m + i], ht[m + j], gt[n + i], gt[n + j]
         witness = {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
         return {"m": m, "n": n, "witness": witness}
@@ -119,7 +103,14 @@ def _report(
     and its fixtures; ``elapsed_seconds`` is the time ``run`` took."""
     start = time.perf_counter()
     pairs, passed, fixtures = run()
-    return ReproReport(experiment, params, pairs, fixtures, passed, time.perf_counter() - start)
+    return {
+        "experiment": experiment,
+        "params": params,
+        "pairs": pairs,
+        "fixtures": fixtures,
+        "passed": passed,
+        "timing": {"elapsed_seconds": time.perf_counter() - start},
+    }
 
 
 def _union_params(i_max: int, m_max: int, n_max: int, prefix: int) -> dict:

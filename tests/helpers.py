@@ -9,12 +9,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import count, islice, permutations
 
-from enumorder.coorder import (
-    FuelExhausted,
-    GapEmpty,
-    MatchSuccess,
-    WitnessPair,
-)
+from enumorder.coorder import FuelExhausted, GapEmpty, MatchSuccess
 from enumorder.listings import (
     ZERO_HEIGHT,
     DuplicateValuesError,
@@ -111,28 +106,41 @@ def order_pattern(h, length):
 
 
 def witness_pairs(h, g, m, n, length):
-    """All witness pairs under shifts (m, n) with both indices below
-    ``length``, in lexicographic (i, j) order."""
+    """All witness pairs (i, j) under shifts (m, n) with both indices below
+    ``length``, in lexicographic order."""
     hv = h.prefix(length + m)
     gv = g.prefix(length + n)
-    found = []
-    for i in range(length):
-        for j in range(length):
-            if i != j and hv[i + m] < hv[j + m] and gv[i + n] > gv[j + n]:
-                found.append(
-                    WitnessPair(i, j, hv[i + m], hv[j + m], gv[i + n], gv[j + n])
-                )
-    return found
+    return [
+        (i, j)
+        for i in range(length)
+        for j in range(length)
+        if i != j and hv[i + m] < hv[j + m] and gv[i + n] > gv[j + n]
+    ]
+
+
+def witness_values(h, g, m, n, w):
+    """The four values witness (i, j) of cell (m, n) compares: h(m + i),
+    h(m + j), g(n + i) and g(n + j), read from the listings."""
+    i, j = w
+    hv = h.prefix(m + max(i, j) + 1)
+    gv = g.prefix(n + max(i, j) + 1)
+    return hv[m + i], hv[m + j], gv[n + i], gv[n + j]
+
+
+def valued_witnesses(h, g, m, n, pairs):
+    """Each witness (i, j) of cell (m, n) beside its four compared values:
+    (i, j, h(m + i), h(m + j), g(n + i), g(n + j))."""
+    return {(*w, *witness_values(h, g, m, n, w)) for w in pairs}
 
 
 def project_first(pairs):
     """Indices appearing as the first component of some witness pair."""
-    return {p.i for p in pairs}
+    return {i for i, _ in pairs}
 
 
 def project_second(pairs):
     """Indices appearing as the second component of some witness pair."""
-    return {p.j for p in pairs}
+    return {j for _, j in pairs}
 
 
 def _shortfall(h, g, h_need, g_need):
@@ -155,7 +163,7 @@ def prefix_coorder_scan(h, g, length):
     for j in range(scanned):
         for i in range(j):
             if (hv[i] < hv[j]) != (gv[i] < gv[j]):
-                return WitnessPair(i, j, hv[i], hv[j], gv[i], gv[j])
+                return i, j
     if scanned < length:
         _shortfall(h, g, length, length)
     return None
@@ -174,10 +182,10 @@ def minimal_witness_scan(h, g, m, n, length):
         hd, gd = hv[d], gv[d]
         for i in range(d):
             if hv[i] < hd and gv[i] > gd:
-                return WitnessPair(i, d, hv[i], hd, gv[i], gd)
+                return i, d
         for j in range(d):
             if hd < hv[j] and gd > gv[j]:
-                return WitnessPair(d, j, hd, hv[j], gd, gv[j])
+                return d, j
     if scanned < length:
         _shortfall(h, g, length + m, length + n)
     return None
@@ -185,24 +193,21 @@ def minimal_witness_scan(h, g, m, n, length):
 
 # The per-cell formatting that the reports' lookup of each witness value by
 # listing position replaced, kept as the oracle for every cell a report holds.
-def witness_json(w: WitnessPair | None) -> dict | None:
+def witness_json(h: Listing, g: Listing, m: int, n: int, w: tuple[int, int] | None) -> dict | None:
+    """A report's witness entry for witness (i, j) of cell (m, n), each of
+    its four values read from the listings and formatted here."""
     if w is None:
         return None
-    return {
-        "i": w.i,
-        "j": w.j,
-        "h_i": format_rational(w.h_i),
-        "h_j": format_rational(w.h_j),
-        "g_i": format_rational(w.g_i),
-        "g_j": format_rational(w.g_j),
-    }
+    i, j = w
+    h_i, h_j, g_i, g_j = map(format_rational, witness_values(h, g, m, n, w))
+    return {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
 
 
 # The per-cell loop that coorder's shared rank streams replaced, kept as the
 # oracle for every cell of a shift search.
 def minimal_witness(
     h: Listing, g: Listing, m: int, n: int, length: int, *, h_need: int | None = None
-) -> WitnessPair | None:
+) -> tuple[int, int] | None:
     """The witness pair with the smallest max(i, j), ties in lexicographic
     (i, j) order, that the windows of ``h`` from index m and of ``g`` from
     index n order oppositely, both indices below ``length``; None when the
@@ -243,10 +248,7 @@ def minimal_witness(
         if bisect_left(seen_g, g_d) != rank:
             hv, gv = h.prefix(m + d), g.prefix(n + d)
             i = next(i for i in range(d) if (hv[m + i] < h_d) != (gv[n + i] < g_d))
-            h_i, g_i = hv[m + i], gv[n + i]
-            if h_i < h_d:
-                return WitnessPair(i, d, h_i, h_d, g_i, g_d)
-            return WitnessPair(d, i, h_d, h_i, g_d, g_i)
+            return (i, d) if hv[m + i] < h_d else (d, i)
         seen_h.insert(rank, h_d)
         seen_g.insert(rank, g_d)
     return None

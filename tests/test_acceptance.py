@@ -35,7 +35,9 @@ from helpers import (
     random_spec,
     shift,
     to_text,
+    valued_witnesses,
     witness_pairs,
+    witness_values,
 )
 from test_seqlang import _random_sequence_expr
 
@@ -106,12 +108,13 @@ def test_criterion_2_pattern_verdict_equivalence():
             ok = False
             break
         if w is not None:
-            hv, gv = h.prefix(limit), g.prefix(limit)
+            i, j = w
+            h_i, h_j, g_i, g_j = witness_values(h, g, 0, 0, w)
+            hv, gv = spec_a.listing().prefix(limit), spec_b.listing().prefix(limit)
             if not (
-                0 <= w.i < w.j < limit
-                and (w.h_i, w.h_j, w.g_i, w.g_j)
-                == (hv[w.i], hv[w.j], gv[w.i], gv[w.j])
-                and ((w.h_i < w.h_j) != (w.g_i < w.g_j))
+                0 <= i < j < limit
+                and (h_i, h_j, g_i, g_j) == (hv[i], hv[j], gv[i], gv[j])
+                and ((h_i < h_j) != (g_i < g_j))
             ):
                 ok = False
                 break
@@ -126,15 +129,15 @@ def test_criterion_3_union_family_separation_matrix():
     """Full separation run: every pair of union families refuted by
     signature and witnessed in every one of the 121 shift cells."""
     report = run_theorem9(5, m_max=10, n_max=10, prefix=500)
-    pairs_ok = len(report.pairs) == 10
-    refuted = all(p["descriptor_verdict"] == "refuted" for p in report.pairs)
+    pairs_ok = len(report["pairs"]) == 10
+    refuted = all(p["descriptor_verdict"] == "refuted" for p in report["pairs"])
     witnessed = all(
         len(p["cells"]) == 121 and all(c["witness"] is not None for c in p["cells"])
-        for p in report.pairs
+        for p in report["pairs"]
     )
     _criterion(
         "criterion 3: separation matrix at full scale",
-        report.passed and pairs_ok and refuted and witnessed,
+        report["passed"] and pairs_ok and refuted and witnessed,
         "10 pairs x 121 cells",
     )
 
@@ -218,17 +221,20 @@ def test_criterion_6_witness_set_algebra():
         if limit < 2:
             continue
         trials += 1
-        forward = witness_pairs(spec_a.listing(), spec_b.listing(), m, n, limit)
-        backward = witness_pairs(spec_b.listing(), spec_a.listing(), n, m, limit)
-        if {(w.i, w.j, w.h_i, w.h_j, w.g_i, w.g_j) for w in forward} != {
-            (w.j, w.i, w.g_j, w.g_i, w.h_j, w.h_i) for w in backward
+        h, g = spec_a.listing(), spec_b.listing()
+        forward = witness_pairs(h, g, m, n, limit)
+        backward = witness_pairs(g, h, n, m, limit)
+        if valued_witnesses(h, g, m, n, forward) != {
+            (j, i, g_j, g_i, h_j, h_i)
+            for i, j, h_i, h_j, g_i, g_j in valued_witnesses(g, h, n, m, backward)
         }:
             ok = False
             break
-        pre_shifted = witness_pairs(
-            shift(spec_a.listing(), m), shift(spec_b.listing(), n), 0, 0, limit
-        )
-        if forward != pre_shifted:
+        h_shifted, g_shifted = shift(spec_a.listing(), m), shift(spec_b.listing(), n)
+        pre_shifted = witness_pairs(h_shifted, g_shifted, 0, 0, limit)
+        if forward != pre_shifted or valued_witnesses(h, g, m, n, forward) != valued_witnesses(
+            h_shifted, g_shifted, 0, 0, pre_shifted
+        ):
             ok = False
             break
     _criterion(

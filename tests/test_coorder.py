@@ -39,7 +39,9 @@ from helpers import (
     project_second,
     random_spec,
     shift,
+    valued_witnesses,
     witness_pairs,
+    witness_values,
 )
 
 
@@ -86,10 +88,10 @@ def test_coorder_is_reflexive():
 
 
 def test_harmonic_vs_thirds_first_witness():
-    w = prefix_coorder(builtin_harmonic().listing(), builtin_thirds().listing(), 2)
-    assert w is not None
-    assert (w.i, w.j) == (0, 1)
-    assert (w.h_i, w.h_j, w.g_i, w.g_j) == (F(1), F(1, 2), F(0), F(1, 3))
+    h, g = builtin_harmonic().listing(), builtin_thirds().listing()
+    w = prefix_coorder(h, g, 2)
+    assert w == (0, 1)
+    assert witness_values(h, g, 0, 0, w) == (F(1), F(1, 2), F(0), F(1, 3))
 
 
 def test_ascending_blocks_agree():
@@ -145,7 +147,7 @@ def test_disagree_witness_is_first_in_scan_order():
         for i in range(j)
         if (hv[i] < hv[j]) != (gv[i] < gv[j])
     )
-    assert (w.i, w.j) == expected
+    assert w == expected
 
 
 # --- witness sets -----------------------------------------------------------------
@@ -156,10 +158,10 @@ def test_witness_pairs_empty_for_equal_shifted_listings():
 
 
 def test_witness_pairs_harmonic_thirds():
-    pairs = witness_pairs(builtin_harmonic().listing(), builtin_thirds().listing(), 0, 0, 3)
-    assert [(w.i, w.j) for w in pairs] == [(1, 0), (2, 0), (2, 1)]
-    first = pairs[0]
-    assert (first.h_i, first.h_j, first.g_i, first.g_j) == (F(1, 2), F(1), F(1, 3), F(0))
+    h, g = builtin_harmonic().listing(), builtin_thirds().listing()
+    pairs = witness_pairs(h, g, 0, 0, 3)
+    assert pairs == [(1, 0), (2, 0), (2, 1)]
+    assert witness_values(h, g, 0, 0, pairs[0]) == (F(1, 2), F(1), F(1, 3), F(0))
 
 
 def test_witness_pairs_shortfall():
@@ -187,14 +189,14 @@ def test_transposition_law_randomized():
             max(0, len(spec_a.listing().try_prefix(20)) - m),
             max(0, len(spec_b.listing().try_prefix(20)) - n),
         )
-        forward = witness_pairs(spec_a.listing(), spec_b.listing(), m, n, length)
-        backward = witness_pairs(spec_b.listing(), spec_a.listing(), n, m, length)
+        h, g = spec_a.listing(), spec_b.listing()
+        forward = witness_pairs(h, g, m, n, length)
+        backward = witness_pairs(g, h, n, m, length)
         transposed = {
-            (w.j, w.i, w.g_j, w.g_i, w.h_j, w.h_i) for w in forward
+            (j, i, g_j, g_i, h_j, h_i)
+            for i, j, h_i, h_j, g_i, g_j in valued_witnesses(h, g, m, n, forward)
         }
-        assert transposed == {
-            (w.i, w.j, w.h_i, w.h_j, w.g_i, w.g_j) for w in backward
-        }
+        assert transposed == valued_witnesses(g, h, n, m, backward)
 
 
 def test_shift_consistency_law_randomized():
@@ -207,11 +209,14 @@ def test_shift_consistency_law_randomized():
             max(0, len(spec_a.listing().try_prefix(20)) - m),
             max(0, len(spec_b.listing().try_prefix(20)) - n),
         )
-        direct = witness_pairs(spec_a.listing(), spec_b.listing(), m, n, length)
-        pre_shifted = witness_pairs(
-            shift(spec_a.listing(), m), shift(spec_b.listing(), n), 0, 0, length
-        )
+        h, g = spec_a.listing(), spec_b.listing()
+        h_shifted, g_shifted = shift(spec_a.listing(), m), shift(spec_b.listing(), n)
+        direct = witness_pairs(h, g, m, n, length)
+        pre_shifted = witness_pairs(h_shifted, g_shifted, 0, 0, length)
         assert direct == pre_shifted
+        assert valued_witnesses(h, g, m, n, direct) == valued_witnesses(
+            h_shifted, g_shifted, 0, 0, pre_shifted
+        )
 
 
 # --- shift-pair search -------------------------------------------------------------
@@ -256,18 +261,18 @@ def test_minimal_witness_rule_against_exhaustive_scan():
             if i != j and hv[i + m] < hv[j + m] and gv[i + n] > gv[j + n]
         ]
         best = min(candidates, key=lambda p: (max(p), p))
-        assert (cell.witness.i, cell.witness.j) == best
+        assert cell.witness == best
 
 
 def test_witness_values_satisfy_inequalities():
-    report = search_shift_witnesses(
-        builtin_harmonic().listing(), build_A(2).listing(), 4, 4, 60
-    )
+    h, g = builtin_harmonic().listing(), build_A(2).listing()
+    report = search_shift_witnesses(h, g, 4, 4, 60)
     for cell in report.cells:
         w = cell.witness
         if w is not None:
-            assert w.h_i < w.h_j
-            assert w.g_i > w.g_j
+            h_i, h_j, g_i, g_j = witness_values(h, g, cell.m, cell.n, w)
+            assert h_i < h_j
+            assert g_i > g_j
 
 
 # --- matching ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from enumorder.coorder import (
     Cell,
     RankStream,
-    WitnessPair,
     WitnessReport,
     prefix_coorder,
     search_shift_witnesses,
@@ -48,6 +47,7 @@ from helpers import (
     project_second,
     spec_factories,
     witness_pairs,
+    witness_values,
 )
 
 SPEC_COUNT = len(spec_factories())
@@ -208,16 +208,17 @@ def thirds():
 
 
 F = Fraction
+# A witness is expected beside the four values it compares.
 SHORTFALL_CASES = [
     # h short, split before its end: the witness stands.
-    (lambda: (values(3, "1/2"), thirds()), WitnessPair(0, 1, F(3), F(1, 2), F(0), F(1, 3))),
+    (lambda: (values(3, "1/2"), thirds()), ((0, 1), (F(3), F(1, 2), F(0), F(1, 3)))),
     # h short, ends before the split.
     (lambda: (values("1/2", 3), thirds()), Exhausted("listing ended after 2 values")),
     # g short, on either side of the split.
-    (lambda: (thirds(), values(3, "1/2")), WitnessPair(0, 1, F(0), F(1, 3), F(3), F(1, 2))),
+    (lambda: (thirds(), values(3, "1/2")), ((0, 1), (F(0), F(1, 3), F(3), F(1, 2)))),
     (lambda: (thirds(), values("1/2", 3)), Exhausted("listing ended after 2 values")),
     # Both short: split before either end, or h named first though g ends first.
-    (lambda: (values(3, "1/2", 4), values("1/2", 3)), WitnessPair(0, 1, F(3), F(1, 2), F(1, 2), F(3))),
+    (lambda: (values(3, "1/2", 4), values("1/2", 3)), ((0, 1), (F(3), F(1, 2), F(1, 2), F(3)))),
     (lambda: (values("1/2", 3, 4), values("1/2", 3)), Exhausted("listing ended after 3 values")),
     # Cut off by the duplicate limit, before any split is possible.
     (lambda: (plateau(), thirds()), Exhausted("listing cut off after 1 values")),
@@ -226,20 +227,25 @@ SHORTFALL_CASES = [
 
 
 def in_index_order(w):
-    if w.i < w.j:
+    return min(w), max(w)
+
+
+def valued(make, find):
+    """The witness ``find`` reports on a case's listings, beside the four
+    values it compares there; or the shortfall it raises."""
+    h, g = make()
+    w = outcome(find, h, g)
+    if isinstance(w, Exhausted):
         return w
-    return WitnessPair(w.j, w.i, w.h_j, w.h_i, w.g_j, w.g_i)
+    return w, witness_values(h, g, 0, 0, w)
 
 
 @pytest.mark.parametrize("make, expected", SHORTFALL_CASES, ids=range(len(SHORTFALL_CASES)))
 def test_shortfall_rule_cases(make, expected):
-    assert outcome(prefix_coorder, *make(), 5) == expected
-    assert outcome(prefix_coorder_scan, *make(), 5) == expected
-    cells = outcome(search_shift_witnesses, *make(), 0, 0, 5)
-    if isinstance(expected, Exhausted):
-        assert cells == expected
-    else:
-        assert in_index_order(cells.cells[0].witness) == expected
+    assert valued(make, lambda h, g: prefix_coorder(h, g, 5)) == expected
+    assert valued(make, lambda h, g: prefix_coorder_scan(h, g, 5)) == expected
+    cell = lambda h, g: in_index_order(search_shift_witnesses(h, g, 0, 0, 5).cells[0].witness)
+    assert valued(make, cell) == expected
 
 
 def test_search_shortfall_names_h_as_its_largest_shift_would():
@@ -321,6 +327,6 @@ def test_search_draws_only_to_the_deepest_witness(case):
     (h, h_drawn), (g, g_drawn) = counted_listing(h_spec), counted_listing(g_spec)
     report = search_shift_witnesses(h, g, m_max, n_max, length)
     assert all(c.witness is not None for c in report.cells)
-    depth = {(c.m, c.n): max(c.witness.i, c.witness.j) + 1 for c in report.cells}
+    depth = {(c.m, c.n): max(c.witness) + 1 for c in report.cells}
     assert h_drawn[0] == max(m + d for (m, _), d in depth.items())
     assert g_drawn[0] == max(n + d for (_, n), d in depth.items())

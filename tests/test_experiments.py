@@ -33,9 +33,9 @@ def F(*args):
 
 def test_theorem9_minimal_run():
     report = run_theorem9(2, m_max=3, n_max=3, prefix=150)
-    assert report.passed
-    assert len(report.pairs) == 1
-    pair = report.pairs[0]
+    assert report["passed"]
+    assert len(report["pairs"]) == 1
+    pair = report["pairs"][0]
     assert (pair["left"], pair["right"]) == ("A:1", "A:2")
     assert pair["descriptor_verdict"] == "refuted"
     assert pair["reason"] == "signature [ASC] != [ASC,DESC]"
@@ -50,22 +50,22 @@ def test_theorem9_rejects_degenerate_request():
 
 def test_theorem9_covers_every_pair_once():
     report = run_theorem9(4, m_max=2, n_max=2, prefix=100)
-    labels = [(p["left"], p["right"]) for p in report.pairs]
+    labels = [(p["left"], p["right"]) for p in report["pairs"]]
     expected = [
         (f"A:{i}", f"A:{j}") for i in range(1, 5) for j in range(i + 1, 5)
     ]
     assert labels == expected
-    assert report.params == {"i_max": 4, "m_max": 2, "n_max": 2, "prefix": 100}
+    assert report["params"] == {"i_max": 4, "m_max": 2, "n_max": 2, "prefix": 100}
 
 
 def test_theorem5_chain_steps():
     report = run_theorem5(3, m_max=2, n_max=2, prefix=150)
-    assert [p["left"] for p in report.pairs] == [
+    assert [p["left"] for p in report["pairs"]] == [
         "interleave(A:1,T:2)",
         "interleave(A:2,T:3)",
     ]
-    assert all(p["right"] == "A:1" for p in report.pairs)
-    assert report.passed
+    assert all(p["right"] == "A:1" for p in report["pairs"])
+    assert report["passed"]
 
 
 def test_theorem5_first_step_matches_union_family_pointwise():
@@ -84,19 +84,19 @@ def test_theorem5_later_steps_enumerate_the_same_set():
 
 def test_theorem5_zero_shift_bound_reduces_to_single_cell():
     report = run_theorem5(2, m_max=0, n_max=0, prefix=60)
-    assert len(report.pairs[0]["cells"]) == 1
-    assert report.pairs[0]["cells"][0]["witness"] is not None
+    assert len(report["pairs"][0]["cells"]) == 1
+    assert report["pairs"][0]["cells"][0]["witness"] is not None
 
 
 def test_examples_fixture_suite():
     report = run_examples()
-    assert report.passed
-    assert report.fixtures == {
+    assert report["passed"]
+    assert report["fixtures"] == {
         "finite_equal_cardinality_coorder": True,
         "recursive_pair_refuted": True,
         "interval_first_values_contain_half": True,
     }
-    pair = report.pairs[0]
+    pair = report["pairs"][0]
     assert (pair["left"], pair["right"]) == ("harmonic", "thirds")
     assert pair["descriptor_verdict"] == "refuted"
     witness = pair["cells"][0]["witness"]
@@ -126,8 +126,8 @@ def test_growth_empty_shift_list():
 
 def test_lemma5_run_passes():
     report = run_lemma5(schedule=(20, 40, 80))
-    assert report.passed
-    assert [(p["left"], p["right"]) for p in report.pairs] == [
+    assert report["passed"]
+    assert [(p["left"], p["right"]) for p in report["pairs"]] == [
         ("harmonic", "thirds"),
         ("A:1", "A:2"),
     ]
@@ -143,21 +143,21 @@ def test_cross_route_agreement():
     # Wherever the symbolic route refutes, the empirical route finds
     # witnesses in every cell.
     report = run_theorem9(3, m_max=4, n_max=4, prefix=120)
-    for pair in report.pairs:
+    for pair in report["pairs"]:
         assert pair["descriptor_verdict"] == "refuted"
         assert all(cell["witness"] is not None for cell in pair["cells"])
 
 
 def test_reports_are_deterministic():
-    first = run_theorem9(2, m_max=2, n_max=2, prefix=80).to_json_dict()
-    second = run_theorem9(2, m_max=2, n_max=2, prefix=80).to_json_dict()
+    first = run_theorem9(2, m_max=2, n_max=2, prefix=80)
+    second = run_theorem9(2, m_max=2, n_max=2, prefix=80)
     first.pop("timing")
     second.pop("timing")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_report_json_schema_fields():
-    report = run_theorem9(2, m_max=1, n_max=1, prefix=60).to_json_dict()
+    report = run_theorem9(2, m_max=1, n_max=1, prefix=60)
     assert set(report) >= {"experiment", "params", "pairs"}
     pair = report["pairs"][0]
     assert set(pair) >= {"left", "right", "descriptor_verdict", "cells"}
@@ -184,11 +184,15 @@ class DrawnFirst(SetSpec):
 def oracle_cells(spec_a, spec_b, m_max, n_max, length):
     """The cells of a search on fresh listings, each witness formatted by
     the oracle; the ``ListingExhausted`` message in their place."""
+    h, g = spec_a.listing(), spec_b.listing()
     try:
-        report = search_shift_witnesses(spec_a.listing(), spec_b.listing(), m_max, n_max, length)
+        report = search_shift_witnesses(h, g, m_max, n_max, length)
     except ListingExhausted as exc:
         return str(exc)
-    return [{"m": c.m, "n": c.n, "witness": witness_json(c.witness)} for c in report.cells]
+    return [
+        {"m": c.m, "n": c.n, "witness": witness_json(h, g, c.m, c.n, c.witness)}
+        for c in report.cells
+    ]
 
 
 def searched_cells(spec_a, spec_b, m_max, n_max, length):
@@ -220,7 +224,8 @@ def test_cells_read_listings_drawn_further_than_the_search():
 
 def test_examples_cell_is_the_check_witness_in_i_before_j_order():
     h, g = builtin_harmonic(), builtin_thirds()
-    unswapped = search_shift_witnesses(h.listing(), g.listing(), 0, 0, 10).cells[0].witness
-    assert unswapped.i > unswapped.j
-    witness = witness_json(prefix_coorder(h.listing(), g.listing(), 10))
-    assert run_examples().pairs[0]["cells"] == [{"m": 0, "n": 0, "witness": witness}]
+    i, j = search_shift_witnesses(h.listing(), g.listing(), 0, 0, 10).cells[0].witness
+    assert i > j
+    hl, gl = h.listing(), g.listing()
+    witness = witness_json(hl, gl, 0, 0, prefix_coorder(hl, gl, 10))
+    assert run_examples()["pairs"][0]["cells"] == [{"m": 0, "n": 0, "witness": witness}]
