@@ -52,10 +52,6 @@ EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class FamilyRefError(ValueError):
-    """A family reference failed to resolve; names the failing segment."""
-
-
 def _int(text: str) -> int:
     """An optionally signed run of ASCII digits; ``int`` alone would also
     take underscores, spaces and other scripts' digits."""
@@ -116,7 +112,7 @@ def resolve_family(ref: str) -> SetSpec:
 
     Whatever a segment raises -- bad syntax, a value a builder refuses, a
     file that cannot be read, a value drawn while a modifier scans the
-    listing -- is reported once, as a :class:`FamilyRefError` naming it.
+    listing -- is reported once, as a ``ValueError`` naming it.
     """
     segment, *modifiers = ref.split("+")
     # A file path runs on, "+" and all, up to the first modifier.
@@ -128,7 +124,7 @@ def resolve_family(ref: str) -> SetSpec:
         for segment in modifiers:
             spec = _apply_modifier(spec, segment)
     except (ValueError, ZeroDivisionError, OSError) as exc:
-        raise FamilyRefError(f"segment {segment!r}: {exc}") from exc
+        raise ValueError(f"segment {segment!r}: {exc}") from exc
     return spec
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .listings import DuplicateValuesError, Listing, ListingCutOff, SetSpec
+from .listings import Listing, ListingCutOff, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
 
 
@@ -390,5 +390,5 @@ def finite_coorder(a_values: list[Fraction], b_values: list[Fraction]) -> bool:
     listing both in ascending order gives identical patterns."""
     for values in (a_values, b_values):
         if len(set(values)) != len(values):
-            raise DuplicateValuesError("finite co-order inputs must be duplicate-free")
+            raise ValueError("finite co-order inputs must be duplicate-free")
     return len(a_values) == len(b_values)

@@ -45,20 +45,11 @@ class ListingExhausted(Exception):
     def __init__(self, length: int, cut_off: bool = False):
         how = "cut off" if cut_off else "ended"
         super().__init__(f"listing {how} after {length} values")
-        self.length = length
 
 
 class ListingCutOff(Exception):
     """A walk reached the point where the duplicate limit cut a listing off;
     what follows is unknown, not absent."""
-
-
-class NonNaturalIndexError(ValueError):
-    """An index stream produced a value that is not a nonnegative integer."""
-
-
-class DuplicateValuesError(ValueError):
-    """A value list that must be duplicate-free contains repeats."""
 
 
 class _Failed:
@@ -296,7 +287,7 @@ def builtin_dyadic(index: SetSpec, name: str = "dyadic") -> SetSpec:
     def stream() -> Iterator[Fraction]:
         for k, v in enumerate(index.listing()):
             if v.denominator != 1 or v < 0:
-                raise NonNaturalIndexError(
+                raise ValueError(
                     f"index listing produced {format_rational(v)} at position {k}; "
                     "expected a natural number"
                 )
@@ -460,7 +451,7 @@ def finite_listing(values: Sequence[Fraction]) -> SetSpec:
     """Exactly the given values, in the given order, then the stream ends."""
     vals = list(values)
     if len(set(vals)) != len(vals):
-        raise DuplicateValuesError("finite listing values must be pairwise distinct")
+        raise ValueError("finite listing values must be pairwise distinct")
 
     def stream() -> Iterator[Fraction]:
         yield from vals
@@ -521,7 +512,7 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     """
     added = sorted(set(values))
     if len(added) != len(list(values)):
-        raise DuplicateValuesError("added values must be pairwise distinct")
+        raise ValueError("added values must be pairwise distinct")
     if not added:
         return spec
     listing = spec.listing()

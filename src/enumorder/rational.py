@@ -16,14 +16,6 @@ import re
 from fractions import Fraction
 
 
-class ZeroDenominatorError(ZeroDivisionError):
-    """A rational was parsed with denominator zero."""
-
-
-class RationalParseError(ValueError):
-    """Text does not match the ``p/q`` form."""
-
-
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 # Integers up to this many bits (about 3,900 digits) convert in one step.
@@ -54,12 +46,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse the textual form ``p/q`` (``q`` omitted when 1, optional minus)."""
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
-        raise RationalParseError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {text!r}")
     numerator = match.group(1)
     p = -_int_from_digits(numerator[1:]) if numerator[0] == "-" else _int_from_digits(numerator)
     q = _int_from_digits(match.group(2)) if match.group(2) is not None else 1
     if q == 0:
-        raise ZeroDenominatorError(f"zero denominator in {text!r}")
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
     return Fraction(p, q)
 
 

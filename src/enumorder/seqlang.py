@@ -59,40 +59,9 @@ MAX_DEGREE = 100_000
 MAX_DEPTH = 200
 
 
-class SeqSyntaxError(ValueError):
-    """Parse failure, with the character offset into the text and the expected-token set."""
-
-    def __init__(self, offset: int, expected: tuple[str, ...], found: str):
-        expected_text = " or ".join(expected)
-        super().__init__(f"offset {offset}: expected {expected_text}, found {found}")
-        self.offset = offset
-        self.expected = expected
-        self.found = found
-
-
-class NonTotalPiecewiseError(ValueError):
-    """The piecewise clause list does not cover all (i, n)."""
-
-
-class EvalDivisionByZero(ZeroDivisionError):
-    """Division by zero during evaluation, recorded with its (i, n)."""
-
-    def __init__(self, i: int, n: int):
-        super().__init__(f"division by zero at (i={i}, n={n})")
-        self.i = i
-        self.n = n
-
-
-class EvalPowerTooLarge(ValueError):
-    """A power whose value could exceed ``MAX_POWER_BITS`` bits, recorded
-    with its (i, n)."""
-
-    def __init__(self, i: int, n: int, bits: int):
-        super().__init__(
-            f"power of up to {bits} bits at (i={i}, n={n}) exceeds the {MAX_POWER_BITS}-bit cap"
-        )
-        self.i = i
-        self.n = n
+def _syntax_error(offset: int, expected: tuple[str, ...], found: str) -> ValueError:
+    """A parse failure at character ``offset`` of the text."""
+    return ValueError(f"offset {offset}: expected {' or '.join(expected)}, found {found}")
 
 
 # --- AST -------------------------------------------------------------------
@@ -193,7 +162,7 @@ def _tokenize(text: str) -> list[_Token]:
             group, word, offset = "stray", stray, offset + word.index(stray)
         if group == "stray":
             expected = (">=",) if word == ">" else ("digit", "name", "operator")
-            raise SeqSyntaxError(offset, expected, repr(word))
+            raise _syntax_error(offset, expected, repr(word))
         kind = word if group in ("name", "symbol") and word not in ("int", "end") else group
         tokens.append(_Token(kind, word, offset))
         if group == "end":
@@ -220,14 +189,14 @@ class _Parser:
         token = self.tokens[self.pos]
         if token.kind not in choices:
             found = "end of input" if token.kind == "end" else repr(token.text)
-            raise SeqSyntaxError(token.offset, choices, found)
+            raise _syntax_error(token.offset, choices, found)
         self.pos += 1
         return token
 
-    def degree_error(self, exponent: _Token) -> SeqSyntaxError:
+    def degree_error(self, exponent: _Token) -> ValueError:
         expected = f"an exponent and a degree in n <= {MAX_DEGREE}"
         text = exponent.text if len(exponent.text) <= 20 else exponent.text[:20] + "..."
-        return SeqSyntaxError(exponent.offset, (expected,), repr(text))
+        return _syntax_error(exponent.offset, (expected,), repr(text))
 
     def parse_file(self) -> SequenceExpr:
         clauses = [self.parse_defn()]
@@ -260,7 +229,7 @@ class _Parser:
         """Depth of the node that ``token`` opens over a child of ``depth``."""
         if depth >= MAX_DEPTH:
             expected = f"a nesting depth <= {MAX_DEPTH}"
-            raise SeqSyntaxError(token.offset, (expected,), repr(token.text))
+            raise _syntax_error(token.offset, (expected,), repr(token.text))
         return depth + 1
 
     # The expression methods return each node with its nesting depth.
@@ -329,7 +298,7 @@ def _check_total(clauses: list[Clause]) -> None:
     parities = {c.guard.parity for c in clauses if isinstance(c.guard, ParityGuard)}
     if parities == {"odd", "even"}:
         return
-    raise NonTotalPiecewiseError(
+    raise ValueError(
         "piecewise definition must end with a fallback clause or contain both parity guards"
     )
 
@@ -384,7 +353,10 @@ def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
             p, q = base(i, n)
             bits = max(p.bit_length(), q.bit_length()) * k
             if bits > MAX_POWER_BITS:
-                raise EvalPowerTooLarge(i, n, bits)
+                raise ValueError(
+                    f"power of up to {bits} bits at (i={i}, n={n}) "
+                    f"exceeds the {MAX_POWER_BITS}-bit cap"
+                )
             return p**k, q**k
 
         return power
@@ -394,7 +366,7 @@ def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
         p, q = left(i, n)
         r, s = right(i, n)
         if divides and r == 0:
-            raise EvalDivisionByZero(i, n)
+            raise ZeroDivisionError(f"division by zero at (i={i}, n={n})")
         return arith(p, q, r, s)
 
     return binop

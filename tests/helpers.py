@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import count, islice, permutations
 
+import pytest
+
 from enumorder.coorder import FuelExhausted, GapEmpty, MatchSuccess
 from enumorder.listings import (
     ZERO_HEIGHT,
-    DuplicateValuesError,
     Listing,
     SetSpec,
     add_finite,
@@ -33,8 +35,6 @@ from enumorder.rational import format_rational
 from enumorder.seqlang import (
     MAX_POWER_BITS,
     BinOp,
-    EvalDivisionByZero,
-    EvalPowerTooLarge,
     Lit,
     Neg,
     Otherwise,
@@ -45,6 +45,12 @@ from enumorder.seqlang import (
     parse,
     seq_spec,
 )
+
+
+def raises_exactly(kind, message):
+    """``pytest.raises`` for ``kind`` whose message is exactly ``message``."""
+    return pytest.raises(kind, match=f"^{re.escape(message)}\\Z")
+
 
 _FAMILY_TEXT = "case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n"
 
@@ -413,7 +419,7 @@ def brute_force_coorder_oracle(a_values, b_values):
                 f"oracle capped at {ORACLE_SIZE_CAP} values, got {len(values)}"
             )
         if len(set(values)) != len(values):
-            raise DuplicateValuesError("oracle inputs must be duplicate-free")
+            raise ValueError("oracle inputs must be duplicate-free")
     return not all_order_patterns(a_values).isdisjoint(all_order_patterns(b_values))
 
 
@@ -454,7 +460,10 @@ def _eval(e, i, n):
         base = _eval(e.base, i, n)
         bits = max(base.numerator.bit_length(), base.denominator.bit_length()) * e.exponent
         if bits > MAX_POWER_BITS:
-            raise EvalPowerTooLarge(i, n, bits)
+            raise ValueError(
+                f"power of up to {bits} bits at (i={i}, n={n}) "
+                f"exceeds the {MAX_POWER_BITS}-bit cap"
+            )
         return base**e.exponent
     left = _eval(e.left, i, n)
     right = _eval(e.right, i, n)
@@ -465,7 +474,7 @@ def _eval(e, i, n):
     if e.op == "*":
         return left * right
     if right == 0:
-        raise EvalDivisionByZero(i, n)
+        raise ZeroDivisionError(f"division by zero at (i={i}, n={n})")
     return left / right
 
 

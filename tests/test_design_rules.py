@@ -12,9 +12,14 @@ Only ``ordertype.py`` spells a descriptor's or signature's text (``W``,
 ``W*``, ``Q[]``, ``FIN(k)``, ``ASC``, ``DESC``); other modules build
 descriptors from its constants and ``fin``, and read them through
 ``block_signature`` and ``is_finite``.
+
+The package raises built-in exceptions. It defines two classes of its own:
+``ListingExhausted``, which callers catch by name, and ``ListingCutOff``, an
+internal signal.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import enumorder
@@ -159,3 +164,46 @@ def unused_exports(package: Path, readme: str) -> list[str]:
 
 def test_every_export_is_used_in_the_package_or_shown_in_readme():
     assert unused_exports(PACKAGE, README.read_text(encoding="utf-8")) == []
+
+
+def exception_classes(package: Path) -> list[str]:
+    """``file: name`` for every class the package defines that derives,
+    directly or through another such class, from a built-in exception."""
+    classes = []  # (file, name, base names)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                # A base is a name, or an attribute such as ``module.Name``.
+                bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+                classes.append((path.name, node.name, bases))
+    exceptions = {
+        name for name in dir(builtins)
+        if isinstance(getattr(builtins, name), type)
+        and issubclass(getattr(builtins, name), BaseException)
+    }
+    found = set()
+    while True:
+        new = {(f, name) for f, name, bases in classes if bases & exceptions} - found
+        if not new:
+            return sorted(f"{f}: {name}" for f, name in found)
+        found |= new
+        exceptions |= {name for _, name in new}
+
+
+def test_the_package_defines_only_its_two_exception_classes():
+    assert exception_classes(PACKAGE) == [
+        "listings.py: ListingCutOff",
+        "listings.py: ListingExhausted",
+    ]
+
+
+def test_exception_rule_catches_direct_and_derived_classes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Bad(ValueError):\n    pass\n\n\nclass Plain:\n    pass\n", encoding="utf-8"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\nclass Worse(a.Bad):\n    pass\n\n\n"
+        "class Base(Exception):\n    pass\n\n\nclass Data(a.Plain):\n    pass\n",
+        encoding="utf-8",
+    )
+    assert exception_classes(tmp_path) == ["a.py: Bad", "b.py: Base", "b.py: Worse"]

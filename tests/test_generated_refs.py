@@ -1,9 +1,10 @@
 """Generated family references through the benchmark's checkers.
 
 A small grammar draws references: ``harmonic``, ``thirds``, ``T:i``,
-``A:i``, ``finite:`` and ``interval:``, each followed by up to two of
-``+shift``, ``+drop`` and ``+add``. Beside each reference the test builds
-its closed-form model from ``bench/families.py``. ``check`` and ``type2
+``A:i``, ``finite:``, ``interval:`` and ``seq:`` files of Möbius maps, each
+followed by up to two of ``+shift``, ``+drop`` and ``+add``. Beside each
+reference the test builds its closed-form model from ``bench/families.py``,
+and ``families.mobius_text`` writes each ``.seq`` file. ``check`` and ``type2
 --format json`` run through ``cli.main``, and ``bench/checks.py`` judges
 each output against the models. The checkers are imported from ``bench/``
 by path, so one copy of them serves the benchmark and this test.
@@ -11,10 +12,12 @@ by path, so one copy of them serves the benchmark and this test.
 
 import contextlib
 import io
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,13 +36,21 @@ import families as fam  # noqa: E402
 # EDIT_SCAN_PREFIX values, except for 0 inside a wide interval.
 values = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
 
+# Coefficients of (a*n + b) / (c*n + d), in the benchmark's ranges.
+mobius_coefficients = st.tuples(
+    st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9), st.integers(1, 9)
+).filter(lambda k: k[0] * k[3] != k[1] * k[2])
+
+# A .seq base names its file under "{dir}", the directory the test writes it to.
+MOBIUS_FILE = re.compile(r"\{dir\}/(mobius_(-?\d+)_(-?\d+)_(-?\d+)_(-?\d+)\.seq)")
+
 
 @st.composite
 def references(draw):
     """A family reference and its model. The model is None when an added
     value is among the first ``EDIT_SCAN_PREFIX`` values of the set it
     edits: the program refuses that reference."""
-    kind = draw(st.sampled_from(["harmonic", "thirds", "T", "A", "finite", "interval"]))
+    kind = draw(st.sampled_from(["harmonic", "thirds", "T", "A", "finite", "interval", "seq"]))
     if kind == "harmonic":
         ref, model = kind, fam.harmonic()
     elif kind == "thirds":
@@ -52,12 +63,15 @@ def references(draw):
         ref = "finite:" + ",".join(map(str, vals))
         # families.finite takes its values' extremes, which no empty set has.
         model = fam.finite(vals) if vals else fam.Family(ref, lambda: iter(()), lambda v: False)
-    else:
+    elif kind == "interval":
         a, b = sorted(draw(st.lists(values, min_size=2, max_size=2)))
         ref = f"interval:{a},{b}"
         # interval:a,a is the set {a}; families.interval models a < b only,
         # as its block walk goes on for ever after the one value.
         model = fam.interval(a, b) if a < b else fam.finite([a])
+    else:
+        k = draw(mobius_coefficients)
+        ref, model = "seq:{dir}/mobius_%d_%d_%d_%d.seq" % k, fam.mobius(*k)
     for edit in draw(st.lists(st.sampled_from(["shift", "drop", "add"]), max_size=2)):
         if edit == "shift":
             m = draw(st.integers(1, 6))
@@ -84,6 +98,20 @@ def references(draw):
     return ref, model
 
 
+@pytest.fixture(scope="session")
+def seq_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mobius")
+
+
+def with_seq_file(ref, directory):
+    """``ref`` with its ``.seq`` file, if it names one, written once under ``directory``."""
+    for name, *k in MOBIUS_FILE.findall(ref):
+        path = directory / name
+        if not path.exists():
+            path.write_text(fam.mobius_text(*map(int, k)), encoding="utf-8")
+    return ref.replace("{dir}", str(directory))
+
+
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -100,8 +128,11 @@ def run(*argv):
     st.integers(0, 2),
     st.integers(0, 20),
 )
-def test_check_and_type2_pass_the_bench_checkers(left, right, prefix, m_max, n_max, length):
+def test_check_and_type2_pass_the_bench_checkers(
+    seq_dir, left, right, prefix, m_max, n_max, length
+):
     (h_ref, h), (g_ref, g) = left, right
+    h_ref, g_ref = with_seq_file(h_ref, seq_dir), with_seq_file(g_ref, seq_dir)
     if h is None or g is None:
         for argv in (
             ("check", h_ref, g_ref, "--prefix", str(prefix)),

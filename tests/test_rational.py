@@ -2,16 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumorder.rational import (
-    RationalParseError,
-    ZeroDenominatorError,
-    format_rational,
-    parse_rational,
-)
+from enumorder.rational import format_rational, parse_rational
+
+from helpers import raises_exactly
 
 rationals_st = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=200
@@ -26,9 +22,9 @@ def test_parse_examples():
 
 def test_parse_rejects_bad_text():
     for bad in ("", "x", "1/2/3", "1.5", "2/-3", "١/٢", "1/²"):
-        with pytest.raises(RationalParseError):
+        with raises_exactly(ValueError, f"not a rational literal: {bad!r}"):
             parse_rational(bad)
-    with pytest.raises(ZeroDenominatorError):
+    with raises_exactly(ZeroDivisionError, "zero denominator in '1/0'"):
         parse_rational("1/0")
 
 
