@@ -30,6 +30,5 @@ from .listings import (
 )
 from .ordertype import OMEGA, OMEGA_STAR, block_signature, refute_type2
 from .rational import format_rational, parse_rational
-from .seqlang import SequenceExpr, parse, seq_spec
 
 __version__ = "0.1.0"

@@ -22,8 +22,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments
 from .coorder import (
+    DEFAULT_M_MAX,
+    DEFAULT_N_MAX,
+    DEFAULT_PREFIX,
     GapEmpty,
     MatchSuccess,
     match_listing,
@@ -44,7 +46,10 @@ from .listings import (
     shift_spec,
 )
 from .rational import format_rational, parse_rational
-from .seqlang import parse, seq_spec
+
+# ``seqlang`` and ``experiments`` are imported where they are used: each
+# command runs in a fresh interpreter, and most never read a ``seq:`` file
+# or run an experiment, so loading them would only slow the start.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +93,8 @@ def _resolve_base(text: str) -> SetSpec:
         index_spec = finite_listing([parse_rational(m) for m in indices if m.strip()])
         return builtin_dyadic(index_spec, text)
     if kind == "seq:":
+        from .seqlang import parse, seq_spec
+
         path_text, i_text = rest.rsplit(":i=", 1) if ":i=" in rest else (rest, "1")
         i_value = _int(i_text)
         expr = parse(Path(path_text).read_text(encoding="utf-8-sig"))
@@ -257,6 +264,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_type2(args: argparse.Namespace) -> int:
+    from . import experiments
+
     spec_a = resolve_family(args.left)
     spec_b = resolve_family(args.right)
     report = experiments.run_type2(spec_a, spec_b, args.mmax, args.nmax, args.prefix)
@@ -316,6 +325,8 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     for key in given:
         if key not in reads:
             raise ValueError(f"repro {args.name} does not take --{key}")
+    from . import experiments
+
     run = getattr(experiments, f"run_{args.name}")
     report = run(**{reads[key]: getattr(args, key) for key in given})
     _emit(_report_json(report), args.out)
@@ -363,15 +374,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="co-order check on listing prefixes")
     p_check.add_argument("left")
     p_check.add_argument("right")
-    p_check.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
+    p_check.add_argument("--prefix", "-N", type=_natural, default=DEFAULT_PREFIX)
     p_check.set_defaults(func=_cmd_check)
 
     p_type2 = sub.add_parser("type2", help="witness search over shift pairs")
     p_type2.add_argument("left")
     p_type2.add_argument("right")
-    p_type2.add_argument("--mmax", type=_natural, default=experiments.DEFAULT_M_MAX)
-    p_type2.add_argument("--nmax", type=_natural, default=experiments.DEFAULT_N_MAX)
-    p_type2.add_argument("--prefix", "-N", type=_natural, default=experiments.DEFAULT_PREFIX)
+    p_type2.add_argument("--mmax", type=_natural, default=DEFAULT_M_MAX)
+    p_type2.add_argument("--nmax", type=_natural, default=DEFAULT_N_MAX)
+    p_type2.add_argument("--prefix", "-N", type=_natural, default=DEFAULT_PREFIX)
     p_type2.add_argument("--format", choices=("text", "json"), default="text")
     p_type2.add_argument("--out")
     p_type2.set_defaults(func=_cmd_type2)

@@ -21,9 +21,9 @@ shift cells share; ``check`` is the (0, 0) cell of a search.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
+from typing import NamedTuple
 
 from .listings import Listing, ListingCutOff, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
@@ -171,8 +171,7 @@ def witness_projections(
     return first, second
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One shift pair's search outcome; ``witness is None`` means no witness
     was found below the bound — a candidate, explicitly inconclusive."""
 
@@ -181,9 +180,15 @@ class Cell:
     witness: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     cells: tuple[Cell, ...]
+
+
+# Default bounds of a shift search, shared by the command line (for check's
+# prefix too) and the experiments.
+DEFAULT_M_MAX = 10
+DEFAULT_N_MAX = 10
+DEFAULT_PREFIX = 500
 
 
 def search_shift_witnesses(
@@ -224,8 +229,7 @@ def search_shift_witnesses(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchSuccess:
+class MatchSuccess(NamedTuple):
     """A target prefix co-ordered with the requested prefix of the input.
 
     ``picks`` records, per step, the position in the target's listing of the
@@ -239,8 +243,7 @@ class MatchSuccess:
     drawn: int
 
 
-@dataclass(frozen=True)
-class GapEmpty:
+class GapEmpty(NamedTuple):
     """The open gap a step needs holds no usable element of the target.
 
     ``refutes`` marks a sound refutation: no listing of the whole target is
@@ -257,8 +260,7 @@ class GapEmpty:
     detail: str
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(NamedTuple):
     """Inconclusive: the draw budget ran out before a fitting element
     appeared. ``cut_off`` marks a pool stopped early by the duplicate limit,
     so the target may still hold more values than were drawn."""

@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .coorder import (
+    DEFAULT_M_MAX,
+    DEFAULT_N_MAX,
+    DEFAULT_PREFIX,
     Cell,
     finite_coorder,
     prefix_coorder,
@@ -36,10 +39,6 @@ from .listings import (
 )
 from .ordertype import refute_type2
 from .rational import format_rational
-
-DEFAULT_M_MAX = 10
-DEFAULT_N_MAX = 10
-DEFAULT_PREFIX = 500
 
 DEFAULT_GROWTH_SHIFTS = ((0, 0), (3, 1), (7, 7))
 DEFAULT_GROWTH_SCHEDULE = (50, 100, 200, 400)

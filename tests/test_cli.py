@@ -1,11 +1,15 @@
 """Command-line interface: resolution, commands, exit codes, output forms."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
+import enumorder
 from enumorder.cli import main, resolve_family
 from enumorder.listings import MAX_POWER_BITS, build_T
 from enumorder.rational import parse_rational
@@ -641,3 +645,35 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# --- what a start imports --------------------------------------------------------
+
+# Prints, after each command, which of the two modules loaded on first use
+# are loaded.
+IMPORT_PROBE = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from enumorder.cli import main
+for argv in (["list", "harmonic"], ["list", "seq:" + sys.argv[2]],
+             ["type2", "harmonic", "thirds", "--mmax", "0", "--nmax", "0", "--prefix", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded = [m for m in ("enumorder.seqlang", "enumorder.experiments") if m in sys.modules]
+    print(argv[0], code, *loaded)
+"""
+
+
+def test_seq_support_and_the_experiments_load_on_first_use(tmp_path):
+    # A fresh interpreter: this one has imported every module already.
+    (tmp_path / "recip.seq").write_text("1/n\n", encoding="utf-8")
+    src = Path(enumorder.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(src), str(tmp_path / "recip.seq")],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.splitlines() == [
+        "list 0",
+        "list 0 enumorder.seqlang",
+        "type2 2 enumorder.seqlang enumorder.experiments",
+    ]

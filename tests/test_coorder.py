@@ -353,6 +353,7 @@ def test_match_restarts_exactly_when_the_target_ends_within_fuel():
     outcome = match_listing(
         finite_listing([F(2), F(3)]), finite_listing([F(2), F(1)]), 2, 10
     )
+    assert type(outcome) is MatchSuccess
     assert outcome == MatchSuccess((F(1), F(2)), (1, 0), 2)
 
 

@@ -8,7 +8,6 @@ differ: not the picks, not the refutation's gap, not the draw count of an
 inconclusive outcome.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import count, islice
 
@@ -71,7 +70,9 @@ def assert_same_outcome(h, target, prefix_len, fuel):
     eager = match_listing_eager(h(), target(), prefix_len, fuel)
     if isinstance(eager, MatchSuccess) and isinstance(lazy, MatchSuccess):
         assert lazy.drawn <= eager.drawn
-        lazy = replace(lazy, drawn=eager.drawn)
+        lazy = lazy._replace(drawn=eager.drawn)
+    # Outcomes are NamedTuples, whose == ignores the type.
+    assert type(lazy) is type(eager)
     assert lazy == eager
     return lazy
 
