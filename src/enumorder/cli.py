@@ -254,11 +254,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"agree on prefix {args.prefix}: {spec_a.name} ~ {spec_b.name}")
         return EXIT_OK
     i, j = w
-    hv, gv = h.values, g.values
+    h_i, h_j, g_i, g_j = (format_rational(s.value_at(k)) for s in (h, g) for k in (i, j))
     print(
         f"disagree at (i={i}, j={j}): "
-        f"{spec_a.name} orders {format_rational(hv[i])} vs {format_rational(hv[j])}, "
-        f"{spec_b.name} orders {format_rational(gv[i])} vs {format_rational(gv[j])}"
+        f"{spec_a.name} orders {h_i} vs {h_j}, {spec_b.name} orders {g_i} vs {g_j}"
     )
     return EXIT_NEGATIVE
 

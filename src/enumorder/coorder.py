@@ -42,14 +42,15 @@ class RankStream:
     at a head index 0..``heads``.
 
     ``ranks[m][d]`` is the insertion rank of value m + d among values
-    m..m+d-1. The values and their keys stay in the listing
-    (``listing.values`` and ``listing.keys``), which may be drawn further
-    than the stream has ranked; each ranked key goes into one sorted
-    window. A new value t gets its rank G(t) among values 0..t-1 by
-    bisection, and the rank in the window from m is G(t) minus
-    #{k < m : value k < value t}, from at most ``heads`` comparisons with
-    the head keys. Keys compare by ``a * q < p * b``, which is exact: a
-    Fraction keeps lowest terms with a positive denominator.
+    m..m+d-1. The values' keys stay in the listing (``listing.keys``),
+    which may be drawn further than the stream has ranked; each ranked key
+    goes into one sorted window. A new value t gets its rank G(t) among
+    values 0..t-1 by a comparison with the window's last key, then its
+    first, and by bisection between them when it lands inside: a monotone
+    listing lands at one end every time. The rank in the window from m is
+    G(t) minus #{k < m : value k < value t}, from at most ``heads``
+    comparisons with the head keys. Keys compare by ``a * q < p * b``,
+    which is exact: a key is in lowest terms with a positive denominator.
     """
 
     def __init__(self, listing: Listing, heads: int):
@@ -64,9 +65,21 @@ class RankStream:
         keys, ranked = listing.keys, ranks[0]
         while len(ranked) <= t:
             k = len(ranked)
-            listing.value_at(k)
+            if k == len(keys):
+                listing.draw(k + 1)
             key = p, q = keys[k]
             lo, hi = 0, len(window)
+            if hi:
+                a, b = window[-1]
+                if a * q < p * b:
+                    lo = hi
+                else:
+                    hi -= 1
+                    a, b = window[0]
+                    if a * q < p * b:
+                        lo = 1
+                    else:
+                        hi = 0
             while lo < hi:
                 mid = (lo + hi) // 2
                 a, b = window[mid]
@@ -116,7 +129,7 @@ def _cell_witness(
         try:
             gs.draw(n + d)
         except Exception:
-            hs.listing.prefix(h_need)
+            hs.listing.draw(h_need)
             raise
     hk, gk = hs.listing.keys, gs.listing.keys
     hp, hq = hk[m + d]
@@ -319,10 +332,10 @@ def match_listing(
     Picks are first-fit in listing order. The target is drawn lazily, at
     most ``fuel`` values in all: a step scans the values already drawn and
     draws more only when none fits, stopping at the first new value that
-    does. The target listing holds each drawn value beside its (numerator,
-    denominator) key, and a value lies in the gap when its key passes the
-    products against both bound keys, the exact ``a * q < p * b`` of
-    :class:`RankStream`: the scan makes no ``Fraction`` comparison. If no
+    does. The scan walks the target listing's keys, and a value lies in the
+    gap when its key passes the products against both bound keys, the exact
+    ``a * q < p * b`` of :class:`RankStream`: it builds and compares no
+    ``Fraction``; only the values an outcome reports are built. If no
     value within fuel fits, a gap oracle may still certify the gap empty.
     That refutes only where ``h``'s descriptor is a lone ``W`` (``W*``)
     block and the gap is unbounded above (below); elsewhere the picks fixed
@@ -341,9 +354,9 @@ def match_listing(
     omega, omega_star = h.descriptor == OMEGA, h.descriptor == OMEGA_STAR
     listing = target.listing()
     walk = iter(listing)
-    pool, keys = listing.values, listing.keys
+    keys = listing.keys
     placed: list[int] = []  # input ranks placed so far, ascending
-    matched: list[int] = []  # pool positions of the picks, by value alongside
+    matched: list[int] = []  # listing positions of the picks, by value alongside
     picks: list[int] = []
     for k, r in enumerate(h_ranks):
         t = bisect_left(placed, r)
@@ -355,31 +368,30 @@ def match_listing(
             (p for p, (a, b) in enumerate(keys) if lp * b < a * lq and a * hq < hp * b), None
         )
         cut_off = False
-        while pick is None and len(pool) < fuel:
+        while pick is None and len(keys) < fuel:
             try:
-                next(walk)
+                a, b = next(walk)
             except StopIteration:
-                return _exact_match(h_ranks, pool)
+                return _exact_match(h_ranks, [Fraction(p, q) for p, q in keys])
             except ListingCutOff:
                 cut_off = True
                 break
-            a, b = keys[-1]
             if lp * b < a * lq and a * hq < hp * b:
-                pick = len(pool) - 1
+                pick = len(keys) - 1
         if pick is None:
-            lo = pool[matched[t - 1]] if t else None
-            hi = pool[matched[t]] if t < k else None
+            lo = Fraction(*keys[matched[t - 1]]) if t else None
+            hi = Fraction(*keys[matched[t]]) if t < k else None
             if target.gap_oracle is not None and not target.gap_oracle(lo, hi):
                 refutes = (omega and hi is None) or (omega_star and lo is None)
                 detail = "gap oracle certifies the gap empty"
                 if not refutes:
                     detail += "; the earlier picks fixed this gap, so nothing is refuted"
                 return GapEmpty(k, lo, hi, refutes, detail)
-            return FuelExhausted(k, len(pool), cut_off)
+            return FuelExhausted(k, len(keys), cut_off)
         placed.insert(t, r)
         matched.insert(t, pick)
         picks.append(pick)
-    return MatchSuccess(tuple(pool[p] for p in picks), tuple(picks), len(pool))
+    return MatchSuccess(tuple(Fraction(*keys[p]) for p in picks), tuple(picks), len(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,10 @@ class _Texts(dict):
     witness values repeat across a pair's cells."""
 
     def __init__(self, listing: Listing):
-        self.values = listing.values
+        self.drawn = listing.keys
 
     def __missing__(self, k: int) -> str:
-        text = self[k] = format_rational(self.values[k])
+        text = self[k] = format_rational(Fraction(*self.drawn[k]))
         return text
 
 

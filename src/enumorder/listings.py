@@ -1,10 +1,13 @@
 """Deterministic injective streams of rationals and the built-in families.
 
 A listing is a replay-deterministic stream with a memoized prefix: asking for
-index ``k`` twice yields the identical value, or raises the identical error
-where the stream raised one, and all produced values are pairwise distinct
+index ``k`` twice yields an equal value, or raises the identical error where
+the stream raised one, and all produced values are pairwise distinct
 (duplicates from the raw generator are skipped, first occurrence wins). A
-:class:`SetSpec` packages a pure stream factory — the set's natural
+stream yields each value as its key: the (numerator, denominator) pair in
+lowest terms with a positive denominator, so equal values have equal keys. The
+listing stores the keys and builds a ``Fraction`` only for a value it returns.
+A :class:`SetSpec` packages a pure stream factory — the set's natural
 enumeration order — together with an optional order-type descriptor and an
 optional gap oracle deciding whether the set meets a given open interval.
 
@@ -19,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, filterfalse
 from typing import Callable, Iterator, Optional, Sequence
 
 from .ordertype import DENSE, OMEGA, OMEGA_STAR, block_signature, fin, is_finite
@@ -28,6 +31,9 @@ from .rational import format_rational
 # A gap oracle answers: does the set meet the open interval (lo, hi)?
 # None stands for an unbounded end.
 GapOracle = Callable[[Optional[Fraction], Optional[Fraction]], bool]
+
+# A value's key: (numerator, denominator) in lowest terms, denominator > 0.
+Key = tuple[int, int]
 
 # A raw generator that repeats forever is cut off after this many consecutive
 # duplicates, so eventually-constant generators do not hang. A cut-off listing
@@ -60,60 +66,60 @@ class _Failed:
         self.error = error
         self.traceback = error.__traceback__
 
-    def __next__(self) -> Fraction:
+    def __next__(self) -> Key:
         raise self.error.with_traceback(self.traceback)
 
 
 class Listing:
     """Replay-deterministic injective stream with a memoized prefix."""
 
-    def __init__(self, stream: Iterator[Fraction]):
+    def __init__(self, stream: Iterator[Key]):
         self._stream = stream
-        # The drawn values and their (numerator, denominator) keys, index for
-        # index; callers only read them. A key tuple hashes without Fraction's
-        # modular inverse, and equal Fractions share their lowest terms.
-        self.values: list[Fraction] = []
-        self.keys: list[tuple[int, int]] = []
-        self._seen: set[tuple[int, int]] = set()
+        # The drawn keys, by index; callers only read them. A key tuple hashes
+        # without Fraction's modular inverse.
+        self.keys: list[Key] = []
+        self._seen: set[Key] = set()
         self._ended = False
         self._cut_off = False
 
-    def __iter__(self) -> Iterator[Fraction]:
-        """Replay from index 0, stopping where the listing ends.
+    def __iter__(self) -> Iterator[Key]:
+        """Replay the keys from index 0, stopping where the listing ends.
 
         Raises :class:`ListingCutOff` where it was cut off instead, so a
         listing drawn from this walk is cut off there too.
         """
         k = 0
         while True:
-            if k == len(self.values):
+            if k == len(self.keys):
                 self._fill(k + 1)
-                if k == len(self.values):
+                if k == len(self.keys):
                     if self._cut_off:
                         raise ListingCutOff
                     return
-            yield self.values[k]
+            yield self.keys[k]
             k += 1
+
+    def draw(self, n: int) -> None:
+        """Draw the first ``n`` keys; raises :class:`ListingExhausted` on shortfall."""
+        self._fill(n)
+        if len(self.keys) < n:
+            raise ListingExhausted(len(self.keys), self._cut_off)
 
     def value_at(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError(f"listing index must be nonnegative, got {k}")
-        self._fill(k + 1)
-        if k >= len(self.values):
-            raise ListingExhausted(len(self.values), self._cut_off)
-        return self.values[k]
+        self.draw(k + 1)
+        return Fraction(*self.keys[k])
 
     def prefix(self, n: int) -> list[Fraction]:
         """First ``n`` values; raises :class:`ListingExhausted` on shortfall."""
-        self._fill(n)
-        if len(self.values) < n:
-            raise ListingExhausted(len(self.values), self._cut_off)
-        return self.values[:n]
+        self.draw(n)
+        return [Fraction(p, q) for p, q in self.keys[:n]]
 
     def try_prefix(self, n: int) -> list[Fraction]:
         """Up to ``n`` values, shorter if the stream ends first."""
         self._fill(n)
-        return self.values[:n]
+        return [Fraction(p, q) for p, q in self.keys[:n]]
 
     def is_cut_off(self) -> bool:
         """True once a duplicate run stopped the draw, here or in a walked listing."""
@@ -121,9 +127,9 @@ class Listing:
 
     def _fill(self, n: int) -> None:
         run = 0
-        while len(self.values) < n and not (self._ended or self._cut_off):
+        while len(self.keys) < n and not (self._ended or self._cut_off):
             try:
-                value = next(self._stream)
+                key = next(self._stream)
             except StopIteration:
                 self._ended = True
                 break
@@ -133,14 +139,12 @@ class Listing:
             except Exception as error:
                 self._stream = _Failed(error)
                 raise
-            key = (value.numerator, value.denominator)
             if key in self._seen:
                 run += 1
                 self._cut_off = run >= DEDUP_RUN_LIMIT
                 continue
             run = 0
             self._seen.add(key)
-            self.values.append(value)
             self.keys.append(key)
 
 
@@ -149,12 +153,12 @@ class SetSpec:
     """A computably enumerable set of rationals, presented by a generator.
 
     ``make_stream`` is a pure factory: every call starts an independent
-    replay of the same deterministic enumeration, whose deduplicated order is
-    the set's natural listing.
+    replay of the same deterministic enumeration of keys, whose deduplicated
+    order is the set's natural listing.
     """
 
     name: str
-    make_stream: Callable[[], Iterator[Fraction]]
+    make_stream: Callable[[], Iterator[Key]]
     descriptor: str | None = None
     gap_oracle: GapOracle | None = None
 
@@ -219,9 +223,7 @@ def _union_oracle(oracles: Sequence[GapOracle | None]) -> GapOracle | None:
     return oracle
 
 
-def _minus_finite_oracle(
-    base: GapOracle | None, removed: Sequence[Fraction]
-) -> GapOracle | None:
+def _minus_finite_oracle(base: GapOracle | None, removed: frozenset[Key]) -> GapOracle | None:
     """Oracle for the base set with finitely many points deleted; None
     (unknown) when the base has none.
 
@@ -231,7 +233,7 @@ def _minus_finite_oracle(
     """
     if base is None:
         return None
-    points = functools.cache(lambda: sorted(set(removed)))
+    points = functools.cache(lambda: sorted(Fraction(p, q) for p, q in removed))
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         inside = [p for p in points() if in_gap(p, lo, hi)]
@@ -250,9 +252,9 @@ def _reciprocals(name: str, center: int, sign: int) -> SetSpec:
     """{center + sign/n : n >= 1}, listed over n = 1, 2, ... as (center*n +
     sign)/n, whose numerator is coprime to n: W* for sign +1, W for -1."""
 
-    def stream() -> Iterator[Fraction]:
+    def stream() -> Iterator[Key]:
         for n in count(1):
-            yield Fraction(center * n + sign, n)
+            yield center * n + sign, n
 
     descriptor = OMEGA_STAR if sign > 0 else OMEGA
     return SetSpec(name, stream, descriptor, _reciprocal_oracle(Fraction(center), sign))
@@ -266,9 +268,9 @@ def builtin_harmonic() -> SetSpec:
 def builtin_thirds() -> SetSpec:
     """Nonnegative multiples of 1/3, listed 0, 1/3, 2/3, ..."""
 
-    def stream() -> Iterator[Fraction]:
+    def stream() -> Iterator[Key]:
         for k in count(0):
-            yield Fraction(k, 3)
+            yield (k // 3, 1) if k % 3 == 0 else (k, 3)
 
     def oracle(lo: Fraction | None, hi: Fraction | None) -> bool:
         k = 0 if lo is None else max(0, math.floor(3 * lo) + 1)
@@ -284,20 +286,20 @@ def builtin_dyadic(index: SetSpec, name: str = "dyadic") -> SetSpec:
     A power of more than ``MAX_POWER_BITS`` bits is refused when drawn.
     """
 
-    def stream() -> Iterator[Fraction]:
-        for k, v in enumerate(index.listing()):
-            if v.denominator != 1 or v < 0:
+    def stream() -> Iterator[Key]:
+        for k, (m, q) in enumerate(index.listing()):
+            if q != 1 or m < 0:
                 raise ValueError(
-                    f"index listing produced {format_rational(v)} at position {k}; "
+                    f"index listing produced {format_rational(Fraction(m, q))} at position {k}; "
                     "expected a natural number"
                 )
-            if v >= MAX_POWER_BITS:
-                m = format_rational(v)
+            if m >= MAX_POWER_BITS:
+                text = format_rational(Fraction(m))
                 raise ValueError(
-                    f"index listing produced {m} at position {k}; "
-                    f"2**{m} exceeds the {MAX_POWER_BITS}-bit cap"
+                    f"index listing produced {text} at position {k}; "
+                    f"2**{text} exceeds the {MAX_POWER_BITS}-bit cap"
                 )
-            yield Fraction(1, 2 ** int(v))
+            yield 1, 2**m
 
     return SetSpec(name, stream)
 
@@ -328,15 +330,15 @@ def interleave(specs: Sequence[SetSpec]) -> SetSpec:
         raise ValueError("interleave needs at least one input")
     specs = list(specs)
 
-    def stream() -> Iterator[Fraction]:
+    def stream() -> Iterator[Key]:
         walks = [iter(s.listing()) for s in specs]
         while walks:
             live = []
             for walk in walks:
-                value = next(walk, None)
-                if value is not None:
+                key = next(walk, None)
+                if key is not None:
                     live.append(walk)
-                    yield value
+                    yield key
             walks = live
 
     oracle = _union_oracle([s.gap_oracle for s in specs])
@@ -358,15 +360,15 @@ def build_A(i: int) -> SetSpec:
         raise ValueError(f"family index must be >= 1, got {i}")
     blocks = [build_T(s) for s in range(1, i + 1)]
 
-    def stream() -> Iterator[Fraction]:
+    def stream() -> Iterator[Key]:
         rounds = zip(*(b.make_stream() for b in blocks))
         first = next(rounds)
         # T:1's first value, then each even block's; the odd blocks skipped
         # sit at the even offsets beyond 0.
         yield first[0]
         yield from first[1::2]
-        for values in rounds:
-            yield from values
+        for keys in rounds:
+            yield from keys
 
     descriptor = " + ".join(b.descriptor for b in blocks)
     oracle = _union_oracle([b.gap_oracle for b in blocks])
@@ -384,9 +386,9 @@ def build_A(i: int) -> SetSpec:
 ZERO_HEIGHT = 128
 
 
-def _block_between(h: int, lo: Fraction, hi: Fraction, sign: int) -> Iterator[Fraction]:
-    """``sign`` times each positive rational of height ``h`` inside
-    [lo, hi], by denominator then numerator.
+def _block_between(h: int, lo: Fraction, hi: Fraction, sign: int) -> Iterator[Key]:
+    """The keys of ``sign`` times each positive rational of height ``h``
+    inside [lo, hi], by denominator then numerator.
 
     Each part of the block is monotone in its running index, so the
     in-range part is an index range: h/q for q from ceil(h/hi) to
@@ -399,12 +401,12 @@ def _block_between(h: int, lo: Fraction, hi: Fraction, sign: int) -> Iterator[Fr
     q_last = h - 1 if lo.numerator <= 0 else min(h - 1, h * lo.denominator // lo.numerator)
     for q in range(q_first, q_last + 1):
         if math.gcd(h, q) == 1:
-            yield Fraction(sign * h, q)
+            yield sign * h, q
     p_first = max(1, -(-lo.numerator * h // lo.denominator))
     p_last = min(h, hi.numerator * h // hi.denominator)
     for p in range(p_first, p_last + 1):
         if math.gcd(p, h) == 1:
-            yield Fraction(sign * p, h)
+            yield sign * p, h
 
 
 def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
@@ -428,10 +430,10 @@ def rationals_in_interval(a: Fraction, b: Fraction) -> SetSpec:
 
     has_zero, neg_lo, neg_hi = a <= 0 <= b, -b, -a
 
-    def stream() -> Iterator[Fraction]:
+    def stream() -> Iterator[Key]:
         for h in count(1):
             if h == ZERO_HEIGHT and has_zero:
-                yield Fraction(0)
+                yield 0, 1
             yield from _block_between(h, a, b, +1)
             yield from _block_between(h, neg_lo, neg_hi, -1)
 
@@ -452,30 +454,27 @@ def finite_listing(values: Sequence[Fraction]) -> SetSpec:
     vals = list(values)
     if len(set(vals)) != len(vals):
         raise ValueError("finite listing values must be pairwise distinct")
+    keys = [(v.numerator, v.denominator) for v in vals]
 
-    def stream() -> Iterator[Fraction]:
-        yield from vals
+    def stream() -> Iterator[Key]:
+        return iter(keys)
 
     name = "finite:" + ",".join(format_rational(v) for v in vals)
     return SetSpec(name, stream, fin(len(vals)), _finite_oracle(vals))
 
 
-def _minus_finite(spec: SetSpec, removed: Sequence[Fraction], name: str) -> SetSpec:
-    """The set minus finitely many values, listed in the original order.
+def _minus_finite(spec: SetSpec, removed: frozenset[Key], name: str) -> SetSpec:
+    """The set minus the values of finitely many keys, listed in the original
+    order.
 
     Deleting finitely many points leaves every infinite block infinite, so a
     ``W``/``W*`` descriptor is kept. A finite set gets ``FIN(k)`` for the k
     values its edited listing holds, walked to its end. Any other shape
     becomes unknown: deletions can move a dense block's endpoints.
     """
-    # Keyed by (numerator, denominator), like the listing's dedup.
-    keys = frozenset((v.numerator, v.denominator) for v in removed)
 
-    def kept(v: Fraction) -> bool:
-        return (v.numerator, v.denominator) not in keys
-
-    def stream() -> Iterator[Fraction]:
-        return filter(kept, spec.listing())
+    def stream() -> Iterator[Key]:
+        return filterfalse(removed.__contains__, spec.listing())
 
     edited = SetSpec(name, stream, None, _minus_finite_oracle(spec.gap_oracle, removed))
     if is_finite(spec.descriptor):
@@ -491,7 +490,7 @@ def remove_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
     if not removed:
         return spec
     name = f"{spec.name}+drop=" + ";".join(format_rational(v) for v in sorted(removed))
-    return _minus_finite(spec, removed, name)
+    return _minus_finite(spec, frozenset((v.numerator, v.denominator) for v in removed), name)
 
 
 # How far into a listing the finite-edit preconditions look. Membership is
@@ -515,16 +514,17 @@ def add_finite(spec: SetSpec, values: Sequence[Fraction]) -> SetSpec:
         raise ValueError("added values must be pairwise distinct")
     if not added:
         return spec
+    keys = [(v.numerator, v.denominator) for v in added]
     listing = spec.listing()
-    listing.try_prefix(EDIT_SCAN_PREFIX)
+    listing._fill(EDIT_SCAN_PREFIX)
     scanned = set(listing.keys)
-    clash = [v for v in added if (v.numerator, v.denominator) in scanned]
+    clash = [v for v, key in zip(added, keys) if key in scanned]
     if clash:
         shown = ", ".join(format_rational(v) for v in clash)
         raise ValueError(f"values already present in the set: {shown}")
 
-    def stream() -> Iterator[Fraction]:
-        yield from added
+    def stream() -> Iterator[Key]:
+        yield from keys
         yield from spec.make_stream()
 
     oracle = _union_oracle([spec.gap_oracle, _finite_oracle(added)])
@@ -545,4 +545,6 @@ def shift_spec(spec: SetSpec, m: int) -> SetSpec:
         raise ValueError(f"shift must be nonnegative, got {m}")
     if m == 0:
         return spec
-    return _minus_finite(spec, spec.listing().try_prefix(m), f"{spec.name}+shift={m}")
+    listing = spec.listing()
+    listing._fill(m)
+    return _minus_finite(spec, frozenset(listing.keys[:m]), f"{spec.name}+shift={m}")

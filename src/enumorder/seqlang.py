@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, repeat
 from math import gcd
 from typing import Callable
@@ -312,8 +311,9 @@ def parse(text: str) -> SequenceExpr:
 #
 # A definition compiles once into nested closures, each giving its node's value
 # at (i, n) as a (numerator, denominator) pair reduced as Fraction reduces its
-# own arithmetic: lowest terms, positive denominator, so the power cap reads the
-# reduced base. Left operands go first: when both sides fail, the same error wins.
+# own arithmetic: lowest terms, positive denominator. So the pair is the value's
+# listing key as it stands, and the power cap reads the reduced base. Left
+# operands go first: when both sides fail, the same error wins.
 
 
 def _add(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -382,15 +382,16 @@ def _accepts(guard: Guard | None) -> Callable[[int, int], bool]:
     return lambda i, n: True
 
 
-def compile_definition(expr: SequenceExpr) -> Callable[[int, int], Fraction]:
-    """The definition as an exact function of ``(i, n)``; the first accepting clause decides."""
+def compile_definition(expr: SequenceExpr) -> Callable[[int, int], tuple[int, int]]:
+    """The definition as an exact function of ``(i, n)``, giving each value as
+    its reduced (numerator, denominator) pair; the first accepting clause decides."""
     clauses = expr.clauses if isinstance(expr, Piecewise) else (Clause(None, expr),)
     cases = [(_accepts(c.guard), _compile(c.body)) for c in clauses]
 
-    def value(i: int, n: int) -> Fraction:
+    def value(i: int, n: int) -> tuple[int, int]:
         for accepts, body in cases:
             if accepts(i, n):
-                return Fraction(*body(i, n))
+                return body(i, n)
         raise RuntimeError("piecewise dispatch fell through a total clause list")
 
     return value
@@ -398,7 +399,8 @@ def compile_definition(expr: SequenceExpr) -> Callable[[int, int], Fraction]:
 
 def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:
     """Set spec whose natural listing evaluates the definition, compiled once
-    here, at ``n = 1, 2, ...`` for the family member ``i``.
+    here, at ``n = 1, 2, ...`` for the family member ``i``; its stream yields
+    the evaluator's reduced pairs as the listing's keys.
 
     Repeated values are skipped by the listing layer; a definition that stays
     on old values for ``DEDUP_RUN_LIMIT`` steps in a row is cut off there.

@@ -47,6 +47,21 @@ from enumorder.seqlang import (
 )
 
 
+def key(value):
+    """A value's listing key: its (numerator, denominator) in lowest terms."""
+    return value.numerator, value.denominator
+
+
+def keyed(values):
+    """The values' keys, as a listing's stream yields them."""
+    return map(key, values)
+
+
+def as_values(keys):
+    """The ``Fraction`` of each key, in order."""
+    return [Fraction(p, q) for p, q in keys]
+
+
 def raises_exactly(kind, message):
     """``pytest.raises`` for ``kind`` whose message is exactly ``message``."""
     return pytest.raises(kind, match=f"^{re.escape(message)}\\Z")
@@ -342,7 +357,7 @@ def build_T_by_addition(i):
 
     def stream():
         for n in count(1):
-            yield (i - 1) + Fraction(n - 1, n) if i % 2 else i - Fraction(n - 1, n)
+            yield key((i - 1) + Fraction(n - 1, n) if i % 2 else i - Fraction(n - 1, n))
 
     return SetSpec(f"T:{i}", stream)
 

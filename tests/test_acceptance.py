@@ -250,7 +250,7 @@ def test_criterion_7_parser_fidelity():
     expr = parse("case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n")
     value = compile_definition(expr)
     family_ok = all(
-        value(i, n) == build_T(i).listing().value_at(n - 1)
+        Fraction(*value(i, n)) == build_T(i).listing().value_at(n - 1)
         for i in range(1, 7)
         for n in range(1, 101)
     )

@@ -368,9 +368,9 @@ def test_match_cut_off_target_is_not_refuted():
     # One value, then a duplicate run long enough to trip the cut-off: the
     # set is infinite, so a one-value pool must not count as the whole target.
     def stream():
-        yield F(0)
-        yield from [F(0)] * DEDUP_RUN_LIMIT
-        yield from (F(n) for n in itertools.count(1))
+        yield 0, 1
+        yield from [(0, 1)] * DEDUP_RUN_LIMIT
+        yield from ((n, 1) for n in itertools.count(1))
 
     plateau = SetSpec("plateau", stream)
     outcome = match_listing(finite_listing([F(1), F(2)]), plateau, 2, 20000)

@@ -40,6 +40,8 @@ from enumorder.listings import (
 
 from helpers import (
     WIDE,
+    as_values,
+    keyed,
     minimal_witness,
     minimal_witness_scan,
     prefix_coorder_scan,
@@ -68,12 +70,12 @@ def short_listing(values, end):
     """The values, then the stream ends, is cut off, or goes on ascending."""
 
     def stream():
-        yield from map(Fraction, values)
+        yield from keyed(map(Fraction, values))
         if end == "cut off":
             raise ListingCutOff
         if end == "infinite":
             top = max(values, default=0)
-            yield from (Fraction(top + k) for k in count(1))
+            yield from keyed(Fraction(top + k) for k in count(1))
 
     return Listing(stream())
 
@@ -205,7 +207,7 @@ def test_sweep_matches_projected_pairs(a, b, m, n, length):
 
 def plateau():
     """One value, then a duplicate run that trips the cut-off."""
-    return Listing(Fraction(0) for _ in range(DEDUP_RUN_LIMIT + 1))
+    return Listing((0, 1) for _ in range(DEDUP_RUN_LIMIT + 1))
 
 
 def values(*texts):
@@ -316,13 +318,25 @@ shapes = st.one_of(
 @example(list(map(Fraction, range(200))), "descending", 2, 3)
 @example(list(map(Fraction, range(200))), "zigzag", 2, 3)
 @example(list(map(Fraction, range(200))), "round robin", 3, 3)
+# Each new key is compared with the window's last key, then its first, and
+# bisected between them only when it lands inside. Windows of 0, 1 and 2 keys:
+@example([Fraction(1)], "as drawn", 2, 0)
+@example([Fraction(2), Fraction(1)], "as drawn", 2, 1)
+@example([Fraction(1), Fraction(2)], "as drawn", 2, 1)
+@example([Fraction(1), Fraction(3), Fraction(2)], "as drawn", 2, 2)
+@example([Fraction(1), Fraction(3), Fraction(0)], "as drawn", 2, 2)
+@example([Fraction(1), Fraction(3), Fraction(4)], "as drawn", 2, 2)
+# Keys that land second-to-last, then second, so that both end checks fail.
+@example(list(map(Fraction, [0, 10, 5, 9, 1, 8, 2])), "as drawn", 2, 3)
+# Keys that alternate between the two ends.
+@example([Fraction((-1) ** k * (k // 2 + 1)) for k in range(200)], "as drawn", 2, 4)
 def test_rank_stream_equals_bisection_on_fractions(drawn, shape, runs, heads):
     values = shaped(drawn, shape, runs)
     assert sorted(values) == sorted(drawn)
-    stream = RankStream(Listing(iter(values)), heads)
+    stream = RankStream(Listing(keyed(values)), heads)
     if values:
         stream.draw(len(values) - 1)
-    assert stream.listing.values == values
+    assert as_values(stream.listing.keys) == values
     for m in range(heads + 1):
         expected = [
             bisect_left(sorted(values[m:t]), values[t]) for t in range(m, len(values))
@@ -338,9 +352,9 @@ def counted_listing(spec):
     drawn = [0]
 
     def stream():
-        for value in spec.listing():
+        for key in spec.listing():
             drawn[0] += 1
-            yield value
+            yield key
 
     return Listing(stream()), drawn
 

@@ -216,7 +216,7 @@ def test_cells_format_the_witness_values_the_search_compared():
 def test_cells_read_listings_drawn_further_than_the_search():
     a, b = build_A(1), build_A(2)
     drawn = [DrawnFirst(s.name, s.make_stream, s.descriptor, s.gap_oracle) for s in (a, b)]
-    assert len(drawn[0].listing().values) == 300
+    assert len(drawn[0].listing().keys) == 300
     cells = searched_cells(*drawn, 3, 3, 60)
     assert cells == oracle_cells(a, b, 3, 3, 60)
     assert all(c["witness"] is not None for c in cells)

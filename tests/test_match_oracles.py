@@ -24,6 +24,7 @@ from enumorder.listings import (
 
 from helpers import (
     WIDE,
+    keyed,
     match_listing_eager,
     rationals_in_interval_filtered,
     spec_factories,
@@ -40,9 +41,9 @@ def cut_off_spec(head):
     infinitely many values the listing never reaches."""
 
     def stream():
-        yield from head
-        yield from [head[0]] * DEDUP_RUN_LIMIT
-        yield from (Fraction(n, 7) for n in count(1000))
+        yield from keyed(head)
+        yield from keyed([head[0]] * DEDUP_RUN_LIMIT)
+        yield from keyed(Fraction(n, 7) for n in count(1000))
 
     return SetSpec("cut-off", stream)
 

@@ -39,6 +39,12 @@ def F(*args):
     return Fraction(*args)
 
 
+def evaluator(expr):
+    """The compiled definition, each reduced pair it gives read as its Fraction."""
+    value = compile_definition(expr)
+    return lambda i, n: Fraction(*value(i, n))
+
+
 # --- parsing -------------------------------------------------------------------
 
 
@@ -181,8 +187,8 @@ def subtraction_chain(depth: int) -> str:
 
 def test_nesting_depth_cap_for_both_shapes():
     # depth parentheses around n, and depth left-nested subtractions.
-    assert compile_definition(parse(nested_parentheses(MAX_DEPTH)))(1, 7) == 7
-    assert compile_definition(parse(subtraction_chain(MAX_DEPTH)))(1, 7) == 7 - 7 * MAX_DEPTH
+    assert evaluator(parse(nested_parentheses(MAX_DEPTH)))(1, 7) == 7
+    assert evaluator(parse(subtraction_chain(MAX_DEPTH)))(1, 7) == 7 - 7 * MAX_DEPTH
     # One level more is refused at the parenthesis or operator that opens it.
     expected = f"expected a nesting depth <= {MAX_DEPTH}"
     with raises_exactly(ValueError, f"offset {MAX_DEPTH}: {expected}, found '('"):
@@ -213,13 +219,13 @@ def test_oversized_power_is_refused_before_it_is_computed():
     literal = "1" + "0" * 3999
     expr = parse(f"{literal}^{MAX_DEGREE}")
     with too_large((10**3999).bit_length() * MAX_DEGREE, 1, 1):
-        compile_definition(expr)(1, 1)
+        evaluator(expr)(1, 1)
     expr = parse(f"i^{MAX_DEGREE}")
     with too_large((10**4000).bit_length() * MAX_DEGREE, 10**4000, 3):
-        compile_definition(expr)(10**4000, 3)
+        evaluator(expr)(10**4000, 3)
     # The cap is on k * bits(base): a 4,000-bit base to the 1,000th is at
     # MAX_POWER_BITS and is computed, one more bit is refused.
-    value = compile_definition(parse("(1/(n+1))^1000"))
+    value = evaluator(parse("(1/(n+1))^1000"))
     assert MAX_POWER_BITS == 4000 * 1000
     assert value(0, 2**3999 - 1) == Fraction(1, 2**3_999_000)
     with too_large(4001 * 1000, 0, 2**4000 - 1):
@@ -233,7 +239,7 @@ def test_literals_beyond_the_interpreter_digit_limit():
     assert parse(to_text(expr)) == expr
     guarded = parse(f"case n < {literal}: n ; case otherwise: 0")
     assert parse(to_text(guarded)) == guarded
-    assert compile_definition(guarded)(1, 5) == 5
+    assert evaluator(guarded)(1, 5) == 5
 
 
 def test_parse_precedence_table():
@@ -253,13 +259,13 @@ def test_parse_threshold_guard_dispatch():
     expr = parse("case n < 3: n ; case otherwise: 0")
     assert isinstance(expr, Piecewise)
     assert expr.clauses[0].guard == ThresholdGuard("<", 3)
-    value = compile_definition(expr)
+    value = evaluator(expr)
     assert value(0, 2) == F(2)
     assert value(0, 3) == F(0)
 
 
 def test_parse_unguarded_tail_acts_as_fallback():
-    value = compile_definition(parse("case n >= 5: 1 ; n"))
+    value = evaluator(parse("case n >= 5: 1 ; n"))
     assert value(0, 7) == F(1)
     assert value(0, 2) == F(2)
 
@@ -286,7 +292,7 @@ def test_single_expression_is_not_piecewise():
 
 
 def test_family_evaluation_examples():
-    value = compile_definition(parse(FAMILY_TEXT))
+    value = evaluator(parse(FAMILY_TEXT))
     assert value(1, 2) == F(1, 2)
     assert value(2, 1) == F(2)
 
@@ -294,21 +300,21 @@ def test_family_evaluation_examples():
 def test_division_by_zero_carries_location():
     expr = parse("1/(n-1)")
     with raises_exactly(ZeroDivisionError, "division by zero at (i=4, n=1)"):
-        compile_definition(expr)(4, 1)
+        evaluator(expr)(4, 1)
 
 
 def test_evaluate_is_pure():
-    value = compile_definition(parse(FAMILY_TEXT))
+    value = evaluator(parse(FAMILY_TEXT))
     assert value(3, 17) == value(3, 17)
 
 
 def test_power_evaluation():
-    assert compile_definition(parse("(n+1)^3"))(0, 1) == F(8)
-    assert compile_definition(parse("2^0"))(0, 1) == F(1)
+    assert evaluator(parse("(n+1)^3"))(0, 1) == F(8)
+    assert evaluator(parse("2^0"))(0, 1) == F(1)
 
 
 def test_family_matches_builtin_blocks():
-    value = compile_definition(parse(FAMILY_TEXT))
+    value = evaluator(parse(FAMILY_TEXT))
     for i in range(1, 7):
         built = build_T(i).listing().prefix(100)
         evaluated = [value(i, n) for n in range(1, 101)]

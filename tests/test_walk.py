@@ -2,7 +2,8 @@
 
 Iteration, ``shift_spec``, ``interleave`` and the ``shift`` test helper all
 walk listings; each is checked here against prefixes read with
-``try_prefix`` from fresh, independent listings of the same specs.
+``try_prefix`` from fresh, independent listings of the same specs. A walk
+yields keys, read here as the values they stand for.
 """
 
 from itertools import islice
@@ -11,7 +12,7 @@ import pytest
 
 from enumorder.listings import interleave, shift_spec
 
-from helpers import shift, spec_factories
+from helpers import as_values, shift, spec_factories
 
 FACTORIES = spec_factories()
 LENGTHS = (0, 1, 7, 40)
@@ -34,7 +35,7 @@ def test_iteration_of_fresh_listing_equals_prefix(factory):
     spec = factory()
     for length in LENGTHS:
         expected = spec.listing().try_prefix(length)
-        assert list(islice(spec.listing(), length)) == expected, (spec.name, length)
+        assert as_values(islice(spec.listing(), length)) == expected, (spec.name, length)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
@@ -44,9 +45,9 @@ def test_iteration_of_partly_read_listing_equals_prefix(factory):
     for already_read in (1, 5, 60):
         ls = spec.listing()
         ls.try_prefix(already_read)
-        assert list(islice(ls, 40)) == expected, (spec.name, already_read)
+        assert as_values(islice(ls, 40)) == expected, (spec.name, already_read)
         # A second walk over the same listing replays from index 0.
-        assert list(islice(ls, 7)) == expected[:7], spec.name
+        assert as_values(islice(ls, 7)) == expected[:7], spec.name
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
@@ -54,7 +55,7 @@ def test_iteration_stops_where_a_finite_listing_ends(factory):
     spec = factory()
     expected = spec.listing().try_prefix(300)
     if len(expected) < 300:
-        assert list(spec.listing()) == expected, spec.name
+        assert as_values(spec.listing()) == expected, spec.name
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
