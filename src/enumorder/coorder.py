@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import NamedTuple
 
-from .listings import Listing, ListingCutOff, SetSpec
+from .listings import Listing, ListingCutOff, ListingExhausted, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
 
 
@@ -349,8 +349,16 @@ def match_listing(
     one exists. That restart picks the same values a completed first-fit
     run would have: each first-fit pick is feasible, as its own completion
     shows.
+
+    A listing of ``h`` that ends before ``prefix_len`` is matched whole.
+    One cut off before it raises :class:`ListingExhausted`: its values past
+    the cut are unknown, not absent.
     """
-    h_ranks = _ranks(h.listing().try_prefix(prefix_len))
+    h_listing = h.listing()
+    pattern = h_listing.try_prefix(prefix_len)
+    if len(pattern) < prefix_len and h_listing.is_cut_off():
+        raise ListingExhausted(len(pattern), cut_off=True)
+    h_ranks = _ranks(pattern)
     omega, omega_star = h.descriptor == OMEGA, h.descriptor == OMEGA_STAR
     listing = target.listing()
     walk = iter(listing)

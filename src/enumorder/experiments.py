@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .coorder import (
     DEFAULT_M_MAX,
     DEFAULT_N_MAX,
     DEFAULT_PREFIX,
-    Cell,
     finite_coorder,
     prefix_coorder,
     search_shift_witnesses,
@@ -49,34 +49,34 @@ DEFAULT_GROWTH_SCHEDULE = (50, 100, 200, 400)
 ReproReport = dict
 
 
-class _Texts(dict):
+def _texts(listing: Listing) -> Callable[[int], str]:
     """The text of a listing's value, by position, formatted on first use:
     witness values repeat across a pair's cells."""
-
-    def __init__(self, listing: Listing):
-        self.drawn = listing.keys
-
-    def __missing__(self, k: int) -> str:
-        text = self[k] = format_rational(Fraction(*self.drawn[k]))
-        return text
+    keys = listing.keys
+    return cache(lambda k: format_rational(Fraction(*keys[k])))
 
 
-def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Sequence[Cell]) -> dict:
+def _pair(
+    spec_a: SetSpec,
+    spec_b: SetSpec,
+    h: Listing,
+    g: Listing,
+    cells: Sequence[tuple[int, int, tuple[int, int] | None]],
+) -> dict:
     """One pair as the report schema writes it: the descriptor verdict
-    beside the witness cells searched on ``h`` and ``g``, the pair's
-    listings. A witness (i, j) of cell (m, n) compares h(m + i), h(m + j),
-    g(n + i) and g(n + j)."""
+    beside the (m, n, witness) cells searched on ``h`` and ``g``, the
+    pair's listings. A witness (i, j) of cell (m, n) compares h(m + i),
+    h(m + j), g(n + i) and g(n + j)."""
     reason = refute_type2(spec_a, spec_b)
-    ht, gt = _Texts(h), _Texts(g)
-
-    def cell(m: int, n: int, w: tuple[int, int] | None) -> dict:
-        if w is None:
-            return {"m": m, "n": n, "witness": None}
-        i, j = w
-        h_i, h_j, g_i, g_j = ht[m + i], ht[m + j], gt[n + i], gt[n + j]
-        witness = {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
-        return {"m": m, "n": n, "witness": witness}
-
+    ht, gt = _texts(h), _texts(g)
+    rows = []
+    for m, n, w in cells:
+        witness = None
+        if w is not None:
+            i, j = w
+            h_i, h_j, g_i, g_j = ht(m + i), ht(m + j), gt(n + i), gt(n + j)
+            witness = {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
+        rows.append({"m": m, "n": n, "witness": witness})
     return {
         "left": spec_a.name,
         "right": spec_b.name,
@@ -84,7 +84,7 @@ def _pair(spec_a: SetSpec, spec_b: SetSpec, h: Listing, g: Listing, cells: Seque
         "right_descriptor": spec_b.descriptor,
         "descriptor_verdict": "unknown" if reason is None else "refuted",
         "reason": reason,
-        "cells": [cell(c.m, c.n, c.witness) for c in cells],
+        "cells": rows,
     }
 
 
@@ -94,14 +94,10 @@ def _witnessed(pair: dict) -> bool:
 
 
 def _report(
-    experiment: str,
-    params: dict,
-    run: Callable[[], tuple[list[dict], bool, dict]],
+    experiment: str, params: dict, start: float, pairs: list[dict], passed: bool, fixtures: dict
 ) -> ReproReport:
-    """The report of one run: ``run`` returns its pairs, whether it passed,
-    and its fixtures; ``elapsed_seconds`` is the time ``run`` took."""
-    start = time.perf_counter()
-    pairs, passed, fixtures = run()
+    """The report of one run that began at ``start``, a
+    ``time.perf_counter()`` reading; ``elapsed_seconds`` is the time since."""
     return {
         "experiment": experiment,
         "params": params,
@@ -133,12 +129,10 @@ def run_type2(
 ) -> ReproReport:
     """One pair's shift search; the run passes when some cell is a
     candidate, i.e. has no witness below the bound."""
-
-    def run() -> tuple[list[dict], bool, dict]:
-        pair = search_pair(spec_a, spec_b, m_max, n_max, prefix)
-        return [pair], not _witnessed(pair), {}
-
-    return _report("type2", {"m_max": m_max, "n_max": n_max, "prefix": prefix}, run)
+    start = time.perf_counter()
+    pair = search_pair(spec_a, spec_b, m_max, n_max, prefix)
+    params = {"m_max": m_max, "n_max": n_max, "prefix": prefix}
+    return _report("type2", params, start, [pair], not _witnessed(pair), {})
 
 
 def run_theorem9(
@@ -153,16 +147,14 @@ def run_theorem9(
     pair is refuted by signature and every shift cell has a witness.
     """
     params = _union_params(i_max, m_max, n_max, prefix)
-
-    def run() -> tuple[list[dict], bool, dict]:
-        pairs = []
-        for i in range(1, i_max + 1):
-            for j in range(i + 1, i_max + 1):
-                pairs.append(search_pair(build_A(i), build_A(j), m_max, n_max, prefix))
-        passed = all(p["descriptor_verdict"] == "refuted" and _witnessed(p) for p in pairs)
-        return pairs, passed, {}
-
-    return _report("theorem9", params, run)
+    start = time.perf_counter()
+    pairs = [
+        search_pair(build_A(i), build_A(j), m_max, n_max, prefix)
+        for i in range(1, i_max + 1)
+        for j in range(i + 1, i_max + 1)
+    ]
+    passed = all(p["descriptor_verdict"] == "refuted" and _witnessed(p) for p in pairs)
+    return _report("theorem9", params, start, pairs, passed, {})
 
 
 def run_theorem5(
@@ -177,16 +169,13 @@ def run_theorem5(
     one; the run passes when each step has a witness in every shift cell.
     """
     params = _union_params(i_max, m_max, n_max, prefix)
-
-    def run() -> tuple[list[dict], bool, dict]:
-        base = build_A(1)
-        pairs = []
-        for i in range(1, i_max):
-            left = interleave([build_A(i), build_T(i + 1)])
-            pairs.append(search_pair(left, base, m_max, n_max, prefix))
-        return pairs, all(map(_witnessed, pairs)), {}
-
-    return _report("theorem5", params, run)
+    start = time.perf_counter()
+    base = build_A(1)
+    pairs = [
+        search_pair(interleave([build_A(i), build_T(i + 1)]), base, m_max, n_max, prefix)
+        for i in range(1, i_max)
+    ]
+    return _report("theorem5", params, start, pairs, all(map(_witnessed, pairs)), {})
 
 
 def run_examples() -> ReproReport:
@@ -196,25 +185,22 @@ def run_examples() -> ReproReport:
     routes with an unshifted witness; two equal-cardinality finite sets are
     co-ordered; the unit-interval listing reaches 1/2 among its first values.
     """
+    start = time.perf_counter()
+    harmonic, thirds = builtin_harmonic(), builtin_thirds()
+    h, g = harmonic.listing(), thirds.listing()
+    witness = prefix_coorder(h, g, 10)
+    pair = _pair(harmonic, thirds, h, g, [(0, 0, witness)])
+    refuted = pair["descriptor_verdict"] == "refuted"
 
-    def run() -> tuple[list[dict], bool, dict]:
-        harmonic, thirds = builtin_harmonic(), builtin_thirds()
-        h, g = harmonic.listing(), thirds.listing()
-        witness = prefix_coorder(h, g, 10)
-        pair = _pair(harmonic, thirds, h, g, [Cell(0, 0, witness)])
-        refuted = pair["descriptor_verdict"] == "refuted"
-
-        finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
-        finite_b = [Fraction(-1), Fraction(0), Fraction(7)]
-        fixtures = {
-            "finite_equal_cardinality_coorder": finite_coorder(finite_a, finite_b),
-            "recursive_pair_refuted": refuted and witness is not None,
-            "interval_first_values_contain_half": Fraction(1, 2)
-            in rationals_in_interval(Fraction(0), Fraction(1)).listing().prefix(5),
-        }
-        return [pair], all(fixtures.values()), fixtures
-
-    return _report("examples", {}, run)
+    finite_a = [Fraction(1, 2), Fraction(3), Fraction(5)]
+    finite_b = [Fraction(-1), Fraction(0), Fraction(7)]
+    fixtures = {
+        "finite_equal_cardinality_coorder": finite_coorder(finite_a, finite_b),
+        "recursive_pair_refuted": refuted and witness is not None,
+        "interval_first_values_contain_half": Fraction(1, 2)
+        in rationals_in_interval(Fraction(0), Fraction(1)).listing().prefix(5),
+    }
+    return _report("examples", {}, start, [pair], all(fixtures.values()), fixtures)
 
 
 def witness_growth(
@@ -254,23 +240,15 @@ def witness_growth(
     return pair
 
 
-def run_lemma5(
-    shifts: Sequence[tuple[int, int]] = DEFAULT_GROWTH_SHIFTS,
-    schedule: Sequence[int] = DEFAULT_GROWTH_SCHEDULE,
-) -> ReproReport:
-    """Growth evidence for the two stock refuted pairs; growth needs a
-    schedule of at least two strictly increasing prefixes."""
+def run_lemma5(schedule: Sequence[int] = DEFAULT_GROWTH_SCHEDULE) -> ReproReport:
+    """Growth evidence for the two stock refuted pairs at the shifts
+    ``DEFAULT_GROWTH_SHIFTS``; growth needs a schedule of at least two
+    strictly increasing prefixes."""
     if len(schedule) < 2 or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"need two or more increasing prefixes, got schedule {list(schedule)}")
-
-    def run() -> tuple[list[dict], bool, dict]:
-        stock = [
-            (builtin_harmonic(), builtin_thirds()),
-            (build_A(1), build_A(2)),
-        ]
-        pairs = [witness_growth(a, b, shifts, schedule) for a, b in stock]
-        passed = all(entry["strictly_increasing"] for p in pairs for entry in p["growth"])
-        return pairs, passed, {}
-
-    params = {"shifts": [[m, n] for m, n in shifts], "schedule": list(schedule)}
-    return _report("lemma5", params, run)
+    start = time.perf_counter()
+    stock = [(builtin_harmonic(), builtin_thirds()), (build_A(1), build_A(2))]
+    pairs = [witness_growth(a, b, DEFAULT_GROWTH_SHIFTS, schedule) for a, b in stock]
+    passed = all(entry["strictly_increasing"] for p in pairs for entry in p["growth"])
+    params = {"shifts": [[m, n] for m, n in DEFAULT_GROWTH_SHIFTS], "schedule": list(schedule)}
+    return _report("lemma5", params, start, pairs, passed, {})

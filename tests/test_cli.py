@@ -469,6 +469,16 @@ def test_match_cut_off_target_is_inconclusive(tmp_path, capsys):
     assert "cut off after 0 values" in err
 
 
+def test_match_cut_off_input_is_an_error(tmp_path, capsys):
+    path = tmp_path / "plat.seq"
+    path.write_text("case n < 3: n ; case otherwise: 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "match", f"seq:{path}", "thirds", "--prefix", "5")
+    assert (code, out, err) == (1, "", "error: listing cut off after 2 values\n")
+    code, out, err = run(capsys, "match", "finite:1,2", "thirds", "--prefix", "5")
+    assert code == 0
+    assert out.splitlines() == ["0, 1/3", "matched 2 values using 2 draws"]
+
+
 # --- repro -------------------------------------------------------------------------
 
 

@@ -379,6 +379,22 @@ def test_match_cut_off_target_is_not_refuted():
     assert outcome.drawn == 1
 
 
+def test_match_cut_off_input_is_an_error():
+    # The input lists 0 and 1, then repeats 1 until the duplicate limit cuts
+    # it off: its values past the cut are unknown, so no match is certified.
+    def stream():
+        yield 0, 1
+        yield from itertools.repeat((1, 1))
+
+    plateau = SetSpec("plateau", stream)
+    with raises_exactly(ListingExhausted, "listing cut off after 2 values"):
+        match_listing(plateau, builtin_thirds(), 5, 1000)
+    # An input that ends is matched whole.
+    outcome = match_listing(finite_listing([F(0), F(1)]), builtin_thirds(), 5, 1000)
+    assert isinstance(outcome, MatchSuccess)
+    assert outcome.values == (F(0), F(1, 3))
+
+
 def test_match_finite_pair_smaller_than_prefix_is_refuted():
     outcome = match_listing(
         finite_listing([F(1), F(2), F(3)]), finite_listing([F(5), F(9)]), 3, 50

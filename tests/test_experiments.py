@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from enumorder import experiments
 from enumorder.coorder import prefix_coorder, search_shift_witnesses
 from enumorder.experiments import (
     run_examples,
@@ -23,6 +24,7 @@ from enumorder.listings import (
     builtin_thirds,
     interleave,
 )
+from enumorder.rational import format_rational
 
 from helpers import spec_factories, witness_json
 
@@ -200,6 +202,21 @@ def searched_cells(spec_a, spec_b, m_max, n_max, length):
         return search_pair(spec_a, spec_b, m_max, n_max, length)["cells"]
     except ListingExhausted as exc:
         return str(exc)
+
+
+def test_pair_formats_each_witness_position_once(monkeypatch):
+    # The 121 witnessed cells of A:2 against A:5 compare 484 values, at only
+    # 26 distinct listing positions.
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return format_rational(x)
+
+    monkeypatch.setattr(experiments, "format_rational", counting)
+    cells = search_pair(build_A(2), build_A(5), 10, 10, 500)["cells"]
+    assert sum(cell["witness"] is not None for cell in cells) == 121
+    assert len(calls) == 26
 
 
 def test_cells_format_the_witness_values_the_search_compared():
