@@ -61,39 +61,42 @@ class RankStream:
 
     def draw(self, t: int) -> None:
         """Draw and rank the values up to index t."""
+        while len(self.ranks[0]) <= t:
+            self.step()
+
+    def step(self) -> None:
+        """Draw and rank the next value."""
         listing, window, heads, ranks = self.listing, self._window, self._heads, self.ranks
         keys, ranked = listing.keys, ranks[0]
-        while len(ranked) <= t:
-            k = len(ranked)
-            if k == len(keys):
-                listing.draw(k + 1)
-            key = p, q = keys[k]
-            lo, hi = 0, len(window)
-            if hi:
-                a, b = window[-1]
-                if a * q < p * b:
-                    lo = hi
-                else:
-                    hi -= 1
-                    a, b = window[0]
+        k = len(ranked)
+        if k == len(keys):
+            listing.draw(k + 1)
+        key = p, q = keys[k]
+        # An empty window's last key is (-1, 0), below every key.
+        lo = len(window)
+        a, b = window[-1] if lo else (-1, 0)
+        if a * q < p * b:
+            window.append(key)
+        else:
+            lo, hi = 0, lo - 1
+            a, b = window[0]
+            if a * q < p * b:
+                lo = 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    a, b = window[mid]
                     if a * q < p * b:
-                        lo = 1
+                        lo = mid + 1
                     else:
-                        hi = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                a, b = window[mid]
-                if a * q < p * b:
-                    lo = mid + 1
-                else:
-                    hi = mid
+                        hi = mid
             window.insert(lo, key)
-            ranked.append(lo)
+        ranked.append(lo)
+        if heads:
             for m, (a, b) in enumerate(heads, 1):
                 lo -= a * q < p * b
                 ranks[m].append(lo)
-            if len(heads) < len(ranks) - 1:
-                heads.append(key)
+        if len(heads) < len(ranks) - 1:
+            heads.append(key)
 
 
 def _cell_witness(
@@ -105,8 +108,10 @@ def _cell_witness(
     The split depth d is the first at which the windows of ``hs`` from m and
     of ``gs`` from n rank their value d differently. The ranks both streams
     already hold are compared first; h(m + d), then g(n + d), is drawn only
-    past them. When a read of g fails, ``h_need`` values of h are drawn
-    first, so a shortfall of h is raised before one of g.
+    past them. Once both streams have ranked exactly to depth d, each
+    further pair is drawn and ranked by one :meth:`RankStream.step` apiece,
+    up to the split. When a read of g fails, ``h_need`` values of h are
+    drawn first, so a shortfall of h is raised before one of g.
 
     The earlier indices that disagree with d sit between its two insertion
     ranks, so they all lie on one side of h(m + d): below it exactly when
@@ -125,6 +130,20 @@ def _cell_witness(
             break
         if d == length:
             return None
+        if len(hs.ranks[0]) == m + d and len(gs.ranks[0]) == n + d:
+            # Both windows end at d: rank one value of each in lockstep.
+            h_step, g_step = hs.step, gs.step
+            while d < length:
+                h_step()
+                try:
+                    g_step()
+                except Exception:
+                    hs.listing.draw(h_need)
+                    raise
+                if hr[d] != gr[d]:
+                    break
+                d += 1
+            continue
         hs.draw(m + d)
         try:
             gs.draw(n + d)
@@ -161,6 +180,14 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> tuple[int, int] | Non
     return None if w is None else (min(w), max(w))
 
 
+def _window_ranks(listing: Listing, length: int) -> list[int]:
+    """Entry k is the rank of value k among the first ``length`` values."""
+    stream = RankStream(listing, 0)
+    stream.draw(length - 1)
+    rank = {key: r for r, key in enumerate(stream._window)}
+    return [rank[key] for key in listing.keys[:length]]
+
+
 def witness_projections(
     h: Listing, g: Listing, m: int, n: int, length: int
 ) -> tuple[set[int], set[int]]:
@@ -170,13 +197,14 @@ def witness_projections(
     Index i is a first index iff some point with a larger h-value has a
     smaller g-value, and j is a second index iff some point with a smaller
     h-value has a larger g-value. One sort by h and two running extremes of
-    g, the minimum from the top and the maximum from the bottom: O(length
-    log length) exact comparisons.
+    g, the minimum from the top and the maximum from the bottom, all on
+    integer ranks: each listing's values are ranked once, in one
+    :class:`RankStream` window.
     """
-    hv = h.prefix(length + m)
-    gv = g.prefix(length + n)
-    by_h = sorted(range(length), key=lambda k: hv[k + m])
-    g_by_h = [gv[k + n] for k in by_h]
+    hr = _window_ranks(h, length + m)
+    gr = _window_ranks(g, length + n)
+    by_h = sorted(range(length), key=lambda k: hr[k + m])
+    g_by_h = [gr[k + n] for k in by_h]
     max_below = list(accumulate(g_by_h, max))
     min_above = list(accumulate(reversed(g_by_h), min))[::-1]
     first = {k for t, k in enumerate(by_h[:-1]) if min_above[t + 1] < g_by_h[t]}

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, repeat, zip_longest
 from math import gcd
 from typing import Callable
 
@@ -314,6 +314,13 @@ def parse(text: str) -> SequenceExpr:
 # own arithmetic: lowest terms, positive denominator. So the pair is the value's
 # listing key as it stands, and the power cap reads the reduced base. Left
 # operands go first: when both sides fail, the same error wins.
+#
+# A family member fixes i, so a clause without a power is one rational function
+# P(n)/Q(n) with integer coefficients, built by polynomial arithmetic that
+# cancels only constant factors: (p/q)/(r/s) is p*s^2 / (q*r*s), so Q vanishes
+# exactly where the closures divide by zero. Elsewhere Horner, a sign fix and
+# one gcd give the closures' key. A power keeps the closures, since the power
+# cap reads the reduced base.
 
 
 def _add(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -382,11 +389,93 @@ def _accepts(guard: Guard | None) -> Callable[[int, int], bool]:
     return lambda i, n: True
 
 
-def compile_definition(expr: SequenceExpr) -> Callable[[int, int], tuple[int, int]]:
+# A clause whose P or Q passes this degree or coefficient bit length keeps its
+# closures.
+HORNER_MAX_DEGREE = 16
+HORNER_MAX_BITS = 4096
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] += x * y
+    return out
+
+
+def rational_function(e: Expr, i: int) -> tuple[list[int], list[int]] | None:
+    """The expression at ``i`` as the coefficients of P and Q, constant term
+    first, with Q(n) = 0 exactly where its closures divide by zero and
+    P(n)/Q(n) their value elsewhere; None for a power or lists too large."""
+    if isinstance(e, Lit):
+        return [e.value], [1]
+    if isinstance(e, Var):
+        return ([0, 1] if e.name == "n" else [i]), [1]
+    if isinstance(e, Pow):
+        return None
+    if isinstance(e, Neg):
+        e = BinOp("*", Lit(-1), e.operand)
+    left, right = rational_function(e.left, i), rational_function(e.right, i)
+    if left is None or right is None:
+        return None
+    (p, q), (r, s) = left, right
+    if e.op == "*":
+        num, den = _pmul(p, r), _pmul(q, s)
+    elif e.op == "/":
+        num, den = _pmul(p, _pmul(s, s)), _pmul(_pmul(q, r), s)
+    else:
+        sign = 1 if e.op == "+" else -1
+        terms = zip_longest(_pmul(p, s), _pmul(r, q), fillvalue=0)
+        num, den = [x + sign * y for x, y in terms], _pmul(q, s)
+    c = gcd(*num, *den)
+    if c > 1:
+        num, den = [x // c for x in num], [x // c for x in den]
+    if max(len(num), len(den)) > HORNER_MAX_DEGREE + 1:
+        return None
+    if max(map(abs, num + den)).bit_length() > HORNER_MAX_BITS:
+        return None
+    return num, den
+
+
+def _compile_member(body: Expr, i: int) -> Callable[[int, int], tuple[int, int]]:
+    """The clause body for the family member ``i`` alone: by Horner when it
+    has a rational function, a precomputed key when that has degree 0."""
+    rational = rational_function(body, i)
+    if rational is None:
+        return _compile(body)
+    num, den = rational[0][::-1], rational[1][::-1]
+
+    def value(i: int, n: int) -> tuple[int, int]:
+        p = q = 0
+        for c in num:
+            p = p * n + c
+        for c in den:
+            q = q * n + c
+        if not q:
+            raise ZeroDivisionError(f"division by zero at (i={i}, n={n})")
+        if q < 0:
+            p, q = -p, -q
+        g = gcd(p, q)
+        return p // g, q // g
+
+    if len(num) == len(den) == 1 and den[0]:
+        key = value(i, 0)
+        return lambda i, n: key
+    return value
+
+
+def compile_definition(
+    expr: SequenceExpr, i: int | None = None
+) -> Callable[[int, int], tuple[int, int]]:
     """The definition as an exact function of ``(i, n)``, giving each value as
-    its reduced (numerator, denominator) pair; the first accepting clause decides."""
+    its reduced (numerator, denominator) pair; the first accepting clause
+    decides. Given ``i``, it is compiled for that family member alone, to be
+    called with that i: each clause without a power goes by Horner."""
     clauses = expr.clauses if isinstance(expr, Piecewise) else (Clause(None, expr),)
-    cases = [(_accepts(c.guard), _compile(c.body)) for c in clauses]
+    bodies = [_compile(c.body) if i is None else _compile_member(c.body, i) for c in clauses]
+    if len(clauses) == 1 and clauses[0].guard is None:
+        return bodies[0]
+    cases = [(_accepts(c.guard), body) for c, body in zip(clauses, bodies)]
 
     def value(i: int, n: int) -> tuple[int, int]:
         for accepts, body in cases:
@@ -405,5 +494,5 @@ def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:
     Repeated values are skipped by the listing layer; a definition that stays
     on old values for ``DEDUP_RUN_LIMIT`` steps in a row is cut off there.
     """
-    value = compile_definition(expr)
+    value = compile_definition(expr, i)
     return SetSpec(name, lambda: map(value, repeat(i), count(1)))

@@ -8,7 +8,7 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count, islice, permutations
+from itertools import accumulate, count, islice, permutations
 
 import pytest
 
@@ -152,6 +152,23 @@ def valued_witnesses(h, g, m, n, pairs):
     """Each witness (i, j) of cell (m, n) beside its four compared values:
     (i, j, h(m + i), h(m + j), g(n + i), g(n + j))."""
     return {(*w, *witness_values(h, g, m, n, w)) for w in pairs}
+
+
+# The sweep that coorder's integer window ranks replaced, kept as the oracle
+# of the projections.
+def witness_projections_by_fractions(h, g, m, n, length):
+    """The first and second indices of the witness pairs under shifts (m, n)
+    with both indices below ``length``, by one sort of the values of h and
+    two running extremes of the values of g, all ``Fraction``s."""
+    hv = h.prefix(length + m)
+    gv = g.prefix(length + n)
+    by_h = sorted(range(length), key=lambda k: hv[k + m])
+    g_by_h = [gv[k + n] for k in by_h]
+    max_below = list(accumulate(g_by_h, max))
+    min_above = list(accumulate(reversed(g_by_h), min))[::-1]
+    first = {k for t, k in enumerate(by_h[:-1]) if min_above[t + 1] < g_by_h[t]}
+    second = {k for t, k in enumerate(by_h[1:], 1) if max_below[t - 1] > g_by_h[t]}
+    return first, second
 
 
 def project_first(pairs):

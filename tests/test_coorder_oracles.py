@@ -35,8 +35,12 @@ from enumorder.listings import (
     ListingCutOff,
     ListingExhausted,
     build_A,
+    build_T,
+    builtin_harmonic,
     builtin_thirds,
+    finite_listing,
 )
+from enumorder.seqlang import parse, seq_spec
 
 from helpers import (
     WIDE,
@@ -47,8 +51,10 @@ from helpers import (
     prefix_coorder_scan,
     project_first,
     project_second,
+    raises_exactly,
     spec_factories,
     witness_pairs,
+    witness_projections_by_fractions,
     witness_values,
 )
 
@@ -195,6 +201,7 @@ def test_minimal_witness_matches_the_exhaustive_scan(a, b, m, n, length):
 @given(specs, specs, shifts, shifts, lengths)
 def test_sweep_matches_projected_pairs(a, b, m, n, length):
     sweep = outcome(witness_projections, *listings(a, b), m, n, length)
+    assert sweep == outcome(witness_projections_by_fractions, *listings(a, b), m, n, length)
     pairs = outcome(witness_pairs, *listings(a, b), m, n, length)
     if isinstance(pairs, Exhausted):
         assert sweep == pairs
@@ -386,3 +393,59 @@ def test_search_draws_only_to_the_deepest_witness(case):
     depth = {(c.m, c.n): max(c.witness) + 1 for c in report.cells}
     assert h_drawn[0] == max(m + d for (m, _), d in depth.items())
     assert g_drawn[0] == max(n + d for (_, n), d in depth.items())
+
+
+# --- the lockstep loop ------------------------------------------------------------------
+
+
+def seq_member(text):
+    return seq_spec(parse(text), 1, f"seq:{text}")
+
+
+# Pairs with no witness in any cell: check's single cell, then 2 x 2 boxes as
+# type2 --mmax 1 --nmax 1 searches them, with .seq listings on either side.
+NO_WITNESS = [
+    (builtin_thirds, lambda: build_T(1), 0, 0),
+    (lambda: seq_member("(7*n + 3) / (2*n + 5)"), builtin_thirds, 0, 0),
+    (builtin_harmonic, lambda: build_T(2), 1, 1),
+    (lambda: seq_member("(n + 4) / (3*n + 1)"), builtin_harmonic, 1, 1),
+    (lambda: seq_member("(7*n + 3) / (2*n + 5)"), lambda: seq_member("n/3"), 1, 1),
+]
+
+
+@pytest.mark.parametrize("make_h, make_g, m_max, n_max", NO_WITNESS)
+def test_no_witness_search_draws_each_listing_to_its_largest_window(make_h, make_g, m_max, n_max):
+    # Every cell ranks both windows to the whole length in lockstep, so each
+    # listing is drawn to the end of its largest window and no further.
+    length = 300
+    (h, h_drawn), (g, g_drawn) = counted_listing(make_h()), counted_listing(make_g())
+    report = search_shift_witnesses(h, g, m_max, n_max, length)
+    assert all(c.witness is None for c in report.cells)
+    assert (h_drawn[0], g_drawn[0]) == (length + m_max, length + n_max)
+
+
+@pytest.mark.parametrize("side", ["h", "g"])
+def test_a_seq_listing_failing_in_lockstep_fails_at_its_own_index(side):
+    # n + 0/(n-50) ascends with thirds up to index 48 and divides by zero at
+    # n = 50, index 49. A failing h stops the loop before g(49) is drawn; a
+    # failing g first has h drawn to the search's need, length + m_max.
+    failing, other = seq_member("n + 0/(n-50)"), builtin_thirds()
+    (h, h_drawn), (g, g_drawn) = map(counted_listing, (failing, other)[:: 1 if side == "h" else -1])
+    with raises_exactly(ZeroDivisionError, "division by zero at (i=1, n=50)"):
+        search_shift_witnesses(h, g, 1, 1, 100)
+    assert (h_drawn[0], g_drawn[0]) == ((49, 49) if side == "h" else (101, 49))
+    failed = h if side == "h" else g
+    assert failed.value_at(48) == 49
+    with raises_exactly(ZeroDivisionError, "division by zero at (i=1, n=50)"):
+        failed.value_at(49)
+
+
+@pytest.mark.parametrize("h_size, g_size", [(10, 5), (5, 10)])
+def test_both_listings_short_in_lockstep_raise_h_shortfall_first(h_size, g_size):
+    # Both ascend, so the loop runs until the shorter one ends; h's shortfall
+    # is raised either way, as an eager draw of h before g would raise it.
+    h_spec, g_spec = (finite_listing([Fraction(k) for k in range(size)]) for size in (h_size, g_size))
+    (h, h_drawn), (g, g_drawn) = counted_listing(h_spec), counted_listing(g_spec)
+    with raises_exactly(ListingExhausted, f"listing ended after {h_size} values"):
+        prefix_coorder(h, g, 20)
+    assert (h_drawn[0], g_drawn[0]) == (h_size, min(h_size, g_size))

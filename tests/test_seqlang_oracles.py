@@ -1,19 +1,24 @@
 """The compiled ``.seq`` evaluator against the AST-walking oracle.
 
-``compile_definition`` and ``seq_spec`` run a definition compiled into closures
-over reduced integer pairs; ``helpers.evaluate_by_walk`` builds a ``Fraction``
-at every node. The compiled pair must equal the oracle value's lowest terms,
-pair for pair, or both must raise the same exception with the same message,
-at every ``(i, n)``. A listing's keys are those pairs, so an unreduced pair
-would make two keys of one value.
+``compile_definition`` runs a definition compiled into closures over reduced
+integer pairs; given a family member i, as ``seq_spec`` compiles it, it
+evaluates each clause without a power as one rational function of n by
+Horner instead; ``helpers.evaluate_by_walk`` builds a ``Fraction`` at every
+node. Each
+compiled pair must equal the oracle value's lowest terms, pair for pair, or
+all must raise the same exception with the same message, at every ``(i, n)``.
+A listing's keys are those pairs, so an unreduced pair would make two keys of
+one value.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumorder.seqlang import (
+    HORNER_MAX_DEGREE,
     BinOp,
     Clause,
     Lit,
@@ -26,6 +31,7 @@ from enumorder.seqlang import (
     Var,
     compile_definition,
     parse,
+    rational_function,
     seq_spec,
 )
 
@@ -71,6 +77,11 @@ positions = st.one_of(st.integers(1, 60), st.integers(1, 10**30))
 def compiled(expr, i, n):
     """The compiled evaluator's pair, called like the oracle."""
     return compile_definition(expr)(i, n)
+
+
+def member(expr, i, n):
+    """The pair of family member i, compiled for that i alone."""
+    return compile_definition(expr, i)(i, n)
 
 
 def walked(expr, i, n):
@@ -154,3 +165,80 @@ def test_errors_match_the_oracle_exactly():
     for text, i, n in cases:
         expr = parse(text)
         assert outcome(compiled, expr, i, n) == outcome(walked, expr, i, n), text
+
+
+# --- the Horner path ------------------------------------------------------------------
+
+
+def power_free(depth: int):
+    """Expressions without a power, at most ``depth`` operators deep: every
+    clause of them is evaluated by Horner, up to the size caps."""
+    if depth == 0:
+        return leaves
+    sub = power_free(depth - 1)
+    return st.one_of(leaves, st.builds(Neg, sub), st.builds(BinOp, st.sampled_from("+-*/"), sub, sub))
+
+
+power_free_definitions = st.one_of(
+    power_free(4),
+    st.lists(st.builds(Clause, guards, power_free(3)), min_size=1, max_size=4).map(
+        lambda clauses: Piecewise(tuple(clauses))
+    ),
+)
+
+
+@oracle_settings
+@given(st.one_of(power_free_definitions, definitions), indices, positions)
+# 1/2 + n/2 at n = 1, where the gcd of the Horner values is 2.
+@example(BinOp("+", BinOp("/", Lit(1), Lit(2)), BinOp("/", Var("n"), Lit(2))), 1, 1)
+def test_member_evaluation_matches_the_closures_and_the_oracle(expr, i, n):
+    expected = outcome(walked, expr, i, n)
+    assert outcome(compiled, expr, i, n) == expected
+    assert outcome(member, expr, i, n) == expected
+
+
+def bodies(expr):
+    return [c.body for c in expr.clauses] if isinstance(expr, Piecewise) else [expr]
+
+
+# Each definition, whether its clauses take the Horner path, and its (i, n)s.
+DEGREE_CAP = "*".join(["n"] * (HORNER_MAX_DEGREE + 1)) + " / (n-5)"
+HORNER_CASES = [
+    ("1/(n-3) - 1/(n-3)", True, [1], range(1, 7)),
+    ("0/(n-2)", True, [1], range(1, 7)),
+    ("(n-3)/(n-3)", True, [1], range(1, 7)),
+    # p*s/(q*r) would cancel the zero of the inner divisor and list n - 3 at n = 3.
+    ("1/(1/(n-3))", True, [1], range(1, 7)),
+    ("1/(i-2)", True, [1, 2, 3], range(1, 4)),
+    ("n - n", True, [1], range(1, 4)),
+    ("(7*n + 3) / (2*n + 5)", True, [1, -4], range(1, 7)),
+    ("case i odd: 1/(n-2) ; case i even: (n-4)/(3-n)", True, [-3, -2, 3, 4], range(1, 7)),
+    ("case n < 4: 1/(n-2) ; case n >= 9: n ; case otherwise: -i", True, [-2, 5], range(1, 12)),
+    ("case n < 10002: 0 ; case otherwise: n", True, [1], [1, 10001, 10002]),
+    # A power keeps the closures, as does a degree past the cap.
+    ("(n-3)^2 / (n-3)", False, [1], range(1, 7)),
+    (DEGREE_CAP, False, [1], range(1, 7)),
+]
+
+
+@pytest.mark.parametrize("text, horner, members, ns", HORNER_CASES)
+def test_horner_path_matches_the_closures_at_every_error(text, horner, members, ns):
+    expr = parse(text)
+    for i in members:
+        assert all((rational_function(body, i) is not None) == horner for body in bodies(expr))
+        for n in ns:
+            expected = outcome(walked, expr, i, n)
+            assert outcome(compiled, expr, i, n) == expected, (text, i, n)
+            assert outcome(member, expr, i, n) == expected, (text, i, n)
+
+
+def test_nested_division_by_zero_fails_at_its_own_index():
+    listing = seq_spec(parse("1/(1/(n-3))"), 1, "nested").listing()
+    assert listing.prefix(2) == [-2, -1]
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero at \(i=1, n=3\)$"):
+        listing.value_at(2)
+
+
+def test_a_clause_of_degree_zero_computes_its_key_once():
+    value = compile_definition(parse("case n < 3: (1/2 + 1/3) * 6 ; case otherwise: n"), 1)
+    assert value(1, 1) == (5, 1) and value(1, 2) is value(1, 1)
