@@ -98,6 +98,13 @@ class RankStream:
         if len(heads) < len(ranks) - 1:
             heads.append(key)
 
+    def global_ranks(self, length: int) -> list[int]:
+        """Entry k is the rank of value k, for k < ``length``, among all the
+        values ranked so far: integers in the values' order."""
+        self.draw(length - 1)
+        rank = {key: r for r, key in enumerate(self._window)}
+        return [rank[key] for key in self.listing.keys[:length]]
+
 
 def _cell_witness(
     hs: RankStream, gs: RankStream, m: int, n: int, length: int, h_need: int
@@ -108,10 +115,10 @@ def _cell_witness(
     The split depth d is the first at which the windows of ``hs`` from m and
     of ``gs`` from n rank their value d differently. The ranks both streams
     already hold are compared first; h(m + d), then g(n + d), is drawn only
-    past them. Once both streams have ranked exactly to depth d, each
-    further pair is drawn and ranked by one :meth:`RankStream.step` apiece,
-    up to the split. When a read of g fails, ``h_need`` values of h are
-    drawn first, so a shortfall of h is raised before one of g.
+    past them, so once both are past their heads each depth ranks at most
+    one new value of each, in lockstep up to the split. When a read of g
+    fails, ``h_need`` values of h are drawn first, so a shortfall of h is
+    raised before one of g.
 
     The earlier indices that disagree with d sit between its two insertion
     ranks, so they all lie on one side of h(m + d): below it exactly when
@@ -121,35 +128,20 @@ def _cell_witness(
     otherwise.
     """
     hr, gr = hs.ranks[m], gs.ranks[n]
-    d = 0
-    while True:
-        span = min(len(hr), len(gr), length)
-        while d < span and hr[d] == gr[d]:
-            d += 1
-        if d < span:
-            break
-        if d == length:
-            return None
-        if len(hs.ranks[0]) == m + d and len(gs.ranks[0]) == n + d:
-            # Both windows end at d: rank one value of each in lockstep.
-            h_step, g_step = hs.step, gs.step
-            while d < length:
-                h_step()
-                try:
-                    g_step()
-                except Exception:
-                    hs.listing.draw(h_need)
-                    raise
-                if hr[d] != gr[d]:
-                    break
-                d += 1
-            continue
-        hs.draw(m + d)
+    h_step, g_step = hs.step, gs.step
+    for d in range(length):
+        while len(hr) <= d:
+            h_step()
         try:
-            gs.draw(n + d)
+            while len(gr) <= d:
+                g_step()
         except Exception:
             hs.listing.draw(h_need)
             raise
+        if hr[d] != gr[d]:
+            break
+    else:
+        return None
     hk, gk = hs.listing.keys, gs.listing.keys
     hp, hq = hk[m + d]
     gp, gq = gk[n + d]
@@ -180,14 +172,6 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> tuple[int, int] | Non
     return None if w is None else (min(w), max(w))
 
 
-def _window_ranks(listing: Listing, length: int) -> list[int]:
-    """Entry k is the rank of value k among the first ``length`` values."""
-    stream = RankStream(listing, 0)
-    stream.draw(length - 1)
-    rank = {key: r for r, key in enumerate(stream._window)}
-    return [rank[key] for key in listing.keys[:length]]
-
-
 def witness_projections(
     h: Listing, g: Listing, m: int, n: int, length: int
 ) -> tuple[set[int], set[int]]:
@@ -198,11 +182,11 @@ def witness_projections(
     smaller g-value, and j is a second index iff some point with a smaller
     h-value has a larger g-value. One sort by h and two running extremes of
     g, the minimum from the top and the maximum from the bottom, all on
-    integer ranks: each listing's values are ranked once, in one
-    :class:`RankStream` window.
+    integer ranks: each listing's values are ranked once, by
+    :meth:`RankStream.global_ranks`.
     """
-    hr = _window_ranks(h, length + m)
-    gr = _window_ranks(g, length + n)
+    hr = RankStream(h, 0).global_ranks(length + m)
+    gr = RankStream(g, 0).global_ranks(length + n)
     by_h = sorted(range(length), key=lambda k: hr[k + m])
     g_by_h = [gr[k + n] for k in by_h]
     max_below = list(accumulate(g_by_h, max))

@@ -471,11 +471,10 @@ def compile_definition(
     its reduced (numerator, denominator) pair; the first accepting clause
     decides. Given ``i``, it is compiled for that family member alone, to be
     called with that i: each clause without a power goes by Horner."""
-    clauses = expr.clauses if isinstance(expr, Piecewise) else (Clause(None, expr),)
-    bodies = [_compile(c.body) if i is None else _compile_member(c.body, i) for c in clauses]
-    if len(clauses) == 1 and clauses[0].guard is None:
-        return bodies[0]
-    cases = [(_accepts(c.guard), body) for c, body in zip(clauses, bodies)]
+    compile_body = _compile if i is None else lambda body: _compile_member(body, i)
+    if not isinstance(expr, Piecewise):
+        return compile_body(expr)
+    cases = [(_accepts(c.guard), compile_body(c.body)) for c in expr.clauses]
 
     def value(i: int, n: int) -> tuple[int, int]:
         for accepts, body in cases:

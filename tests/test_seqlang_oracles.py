@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumorder.seqlang import (
+    HORNER_MAX_BITS,
     HORNER_MAX_DEGREE,
     BinOp,
     Clause,
@@ -203,6 +204,8 @@ def bodies(expr):
 
 # Each definition, whether its clauses take the Horner path, and its (i, n)s.
 DEGREE_CAP = "*".join(["n"] * (HORNER_MAX_DEGREE + 1)) + " / (n-5)"
+# A coefficient of 2^4096, 1,234 digits, is one bit past the cap.
+BIT_CAP = f"{2**HORNER_MAX_BITS}*n / (n-2)"
 HORNER_CASES = [
     ("1/(n-3) - 1/(n-3)", True, [1], range(1, 7)),
     ("0/(n-2)", True, [1], range(1, 7)),
@@ -215,9 +218,10 @@ HORNER_CASES = [
     ("case i odd: 1/(n-2) ; case i even: (n-4)/(3-n)", True, [-3, -2, 3, 4], range(1, 7)),
     ("case n < 4: 1/(n-2) ; case n >= 9: n ; case otherwise: -i", True, [-2, 5], range(1, 12)),
     ("case n < 10002: 0 ; case otherwise: n", True, [1], [1, 10001, 10002]),
-    # A power keeps the closures, as does a degree past the cap.
+    # A power keeps the closures, as does a degree or a coefficient past its cap.
     ("(n-3)^2 / (n-3)", False, [1], range(1, 7)),
     (DEGREE_CAP, False, [1], range(1, 7)),
+    pytest.param(BIT_CAP, False, [1], range(1, 5), id="bit-cap"),
 ]
 
 
