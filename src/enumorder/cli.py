@@ -148,20 +148,23 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cells_text(cells: list[dict], indent: str) -> str:
-    """``json.dumps``'s text for a pair's cells nested at ``indent``, from one
-    template: every cell has ints ``m`` and ``n`` and a ``witness`` that is
-    null or ints ``i`` and ``j`` beside four ASCII ``p/q`` texts, which the
-    string escaper would only quote."""
+    """``json.dumps``'s text for a pair's cells nested at ``indent``, from a
+    null and a witnessed cell's template: every cell has ints ``m`` and
+    ``n`` and a ``witness`` that is null or ints ``i`` and ``j`` beside four
+    ASCII ``p/q`` texts, which the string escaper would only quote."""
     if not cells:
         return "[]"
     inner, field, deeper = indent + "  ", indent + "    ", indent + "      "
-    cell = f'{{{field}"m": %d,{field}"n": %d,{field}"witness": %s{inner}}}'
-    witness = (
-        f'{{{deeper}"g_i": "%(g_i)s",{deeper}"g_j": "%(g_j)s",{deeper}"h_i": "%(h_i)s",'
-        f'{deeper}"h_j": "%(h_j)s",{deeper}"i": %(i)d,{deeper}"j": %(j)d{field}}}'
+    head = f'{{{field}"m": %d,{field}"n": %d,{field}"witness": '
+    null = f"{head}null{inner}}}"
+    witnessed = (
+        f'{head}{{{deeper}"g_i": "%s",{deeper}"g_j": "%s",{deeper}"h_i": "%s",'
+        f'{deeper}"h_j": "%s",{deeper}"i": %d,{deeper}"j": %d{field}}}{inner}}}'
     )
     items = [
-        cell % (c["m"], c["n"], "null" if c["witness"] is None else witness % c["witness"])
+        null % (c["m"], c["n"])
+        if (w := c["witness"]) is None
+        else witnessed % (c["m"], c["n"], w["g_i"], w["g_j"], w["h_i"], w["h_j"], w["i"], w["j"])
         for c in cells
     ]
     return "[" + inner + ("," + inner).join(items) + indent + "]"

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, islice
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from .listings import Listing, ListingCutOff, ListingExhausted, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
@@ -125,7 +125,9 @@ def _cell_witness(
     h's rank of d is the larger. The first index i with
     ``(h_i < h_d) != (g_i < g_d)``, found by comparing the listings' keys, is
     the witness, reported as (i, d) when it lies below and as (d, i)
-    otherwise.
+    otherwise. A split with no such index can only come from ranks that do
+    not match the keys, and raises ``RuntimeError`` rather than report a
+    wrong pair.
     """
     hr, gr = hs.ranks[m], gs.ranks[n]
     h_step, g_step = hs.step, gs.step
@@ -145,12 +147,13 @@ def _cell_witness(
     hk, gk = hs.listing.keys, gs.listing.keys
     hp, hq = hk[m + d]
     gp, gq = gk[n + d]
-    earlier = zip(islice(hk, m, m + d), islice(gk, n, n + d))
-    i = next(
-        i
-        for i, ((a, b), (c, e)) in enumerate(earlier)
-        if (a * hq < hp * b) != (c * gq < gp * e)
-    )
+    for i in range(d):
+        a, b = hk[m + i]
+        c, e = gk[n + i]
+        if (a * hq < hp * b) != (c * gq < gp * e):
+            break
+    else:
+        raise RuntimeError(f"cell ({m}, {n}) splits at depth {d} with no disagreeing index")
     return (i, d) if hr[d] > gr[d] else (d, i)
 
 
@@ -173,20 +176,19 @@ def prefix_coorder(h: Listing, g: Listing, length: int) -> tuple[int, int] | Non
 
 
 def witness_projections(
-    h: Listing, g: Listing, m: int, n: int, length: int
+    hr: Sequence[int], gr: Sequence[int], m: int, n: int, length: int
 ) -> tuple[set[int], set[int]]:
     """The first and second indices of the witness pairs under shifts
-    (m, n) with both indices below ``length``, without building the pairs.
+    (m, n) with both indices below ``length``, without building the pairs,
+    from at least ``length + m`` values of h, ``hr``, and ``length + n`` of
+    g, ``gr``: the values or any integers in their order, such as
+    :meth:`RankStream.global_ranks`.
 
     Index i is a first index iff some point with a larger h-value has a
     smaller g-value, and j is a second index iff some point with a smaller
     h-value has a larger g-value. One sort by h and two running extremes of
-    g, the minimum from the top and the maximum from the bottom, all on
-    integer ranks: each listing's values are ranked once, by
-    :meth:`RankStream.global_ranks`.
+    g, the minimum from the top and the maximum from the bottom.
     """
-    hr = RankStream(h, 0).global_ranks(length + m)
-    gr = RankStream(g, 0).global_ranks(length + n)
     by_h = sorted(range(length), key=lambda k: hr[k + m])
     g_by_h = [gr[k + n] for k in by_h]
     max_below = list(accumulate(g_by_h, max))

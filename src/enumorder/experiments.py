@@ -22,6 +22,7 @@ from .coorder import (
     DEFAULT_M_MAX,
     DEFAULT_N_MAX,
     DEFAULT_PREFIX,
+    RankStream,
     finite_coorder,
     prefix_coorder,
     search_shift_witnesses,
@@ -69,14 +70,13 @@ def _pair(
     h(m + j), g(n + i) and g(n + j)."""
     reason = refute_type2(spec_a, spec_b)
     ht, gt = _texts(h), _texts(g)
-    rows = []
-    for m, n, w in cells:
-        witness = None
-        if w is not None:
-            i, j = w
-            h_i, h_j, g_i, g_j = ht(m + i), ht(m + j), gt(n + i), gt(n + j)
-            witness = {"i": i, "j": j, "h_i": h_i, "h_j": h_j, "g_i": g_i, "g_j": g_j}
-        rows.append({"m": m, "n": n, "witness": witness})
+    rows = [
+        {"m": m, "n": n, "witness": None if w is None else {
+            "i": w[0], "j": w[1], "h_i": ht(m + w[0]), "h_j": ht(m + w[1]),
+            "g_i": gt(n + w[0]), "g_j": gt(n + w[1]),
+        }}
+        for m, n, w in cells
+    ]
     return {
         "left": spec_a.name,
         "right": spec_b.name,
@@ -222,11 +222,16 @@ def witness_growth(
             f"{spec_a.name} vs {spec_b.name} is not descriptor-refuted; "
             "growth evidence needs a refuted pair"
         )
+    # One rank window per listing serves every projection: ranks from a
+    # larger window keep the values' order.
+    longest = max(schedule, default=0) if shifts else 0
+    hr = RankStream(h, 0).global_ranks(longest + max((m for m, _ in shifts), default=0))
+    gr = RankStream(g, 0).global_ranks(longest + max((n for _, n in shifts), default=0))
     growth = []
     for m, n in shifts:
         counts = []
         for length in schedule:
-            first, second = witness_projections(h, g, m, n, length)
+            first, second = witness_projections(hr, gr, m, n, length)
             counts.append(
                 {"prefix": length, "first_indices": len(first), "second_indices": len(second)}
             )

@@ -292,6 +292,32 @@ def test_list_resolution_failure(capsys):
 # --- check -------------------------------------------------------------------------
 
 
+DEEP_H = "finite:" + ",".join(map(str, range(1, 42)))
+
+
+@pytest.mark.parametrize(
+    "last, unshifted, shifted", [("1/2", (0, 40), (0, 39)), ("79/2", (39, 40), (38, 39))]
+)
+def test_deep_split_witnesses_from_main(capsys, last, unshifted, shifted):
+    # 1..41 against 1..40 and a last value that splits at depth 40. At
+    # prefix 41, cell (1, 0) would agree to depth 39 and need a 42nd value of
+    # h, so the shift search runs at prefix 40, where (1, 1) splits at 39.
+    g = "finite:" + ",".join(map(str, range(1, 41))) + "," + last
+    code, out, err = run(capsys, "check", DEEP_H, g, "--prefix", "41")
+    assert (code, err) == (2, "")
+    i, j = unshifted
+    h_values, g_values = list(range(1, 42)), [*range(1, 41), last]
+    assert out == (
+        f"disagree at (i={i}, j={j}): {DEEP_H} orders {h_values[i]} vs {h_values[j]}, "
+        f"{g} orders {g_values[i]} vs {g_values[j]}\n"
+    )
+    argv = ["type2", DEEP_H, g, "--mmax", "1", "--nmax", "1", "--prefix", "40", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    witness = json.loads(out)["pairs"][0]["cells"][-1]["witness"]
+    assert (witness["i"], witness["j"]) == shifted
+
+
 def test_check_agreeing_families(capsys):
     code, out, err = run(capsys, "check", "T:1", "T:3", "--prefix", "100")
     assert code == 0

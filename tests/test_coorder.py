@@ -10,6 +10,8 @@ from enumorder.coorder import (
     FuelExhausted,
     GapEmpty,
     MatchSuccess,
+    RankStream,
+    _cell_witness,
     finite_coorder,
     match_listing,
     prefix_coorder,
@@ -32,6 +34,7 @@ from helpers import (
     OracleSizeError,
     all_order_patterns,
     brute_force_coorder_oracle,
+    minimal_witness_scan,
     order_pattern,
     pattern_by_counting,
     project_first,
@@ -261,6 +264,37 @@ def test_minimal_witness_rule_against_exhaustive_scan():
         ]
         best = min(candidates, key=lambda p: (max(p), p))
         assert cell.witness == best
+
+
+# h = 1..41 against g = 1..40 and one last value that splits at depth 40:
+# below every earlier value, so index 0 disagrees first, or between 39 and
+# 40, so only index 39 disagrees.
+DEEP_H = [F(k) for k in range(1, 42)]
+DEEP_SPLITS = [(F(1, 2), (0, 40), (0, 39)), (F(79, 2), (39, 40), (38, 39))]
+
+
+@pytest.mark.parametrize("last, unshifted, shifted", DEEP_SPLITS)
+def test_witness_read_off_at_a_deep_split(last, unshifted, shifted):
+    def pair():
+        g = [F(k) for k in range(1, 41)] + [last]
+        return finite_listing(DEEP_H).listing(), finite_listing(g).listing()
+
+    assert minimal_witness_scan(*pair(), 0, 0, 41) == unshifted
+    assert search_shift_witnesses(*pair(), 0, 0, 41).cells[0].witness == unshifted
+    assert prefix_coorder(*pair(), 41) == unshifted
+    assert minimal_witness_scan(*pair(), 1, 1, 40) == shifted
+    assert search_shift_witnesses(*pair(), 1, 1, 40).cells[-1] == (1, 1, shifted)
+
+
+def test_a_split_no_earlier_index_explains_fails_loudly():
+    # Two streams of one ascending listing, one with a tampered rank: depth 3
+    # splits although every earlier index orders alike in both listings.
+    hs, gs = RankStream(builtin_thirds().listing(), 0), RankStream(builtin_thirds().listing(), 0)
+    hs.draw(5)
+    assert hs.ranks[0][3] == 3
+    hs.ranks[0][3] = 0
+    with pytest.raises(RuntimeError, match=r"cell \(0, 0\) splits at depth 3"):
+        _cell_witness(hs, gs, 0, 0, 10, 10)
 
 
 def test_witness_values_satisfy_inequalities():

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enumorder.coorder import (
@@ -197,16 +197,34 @@ def test_minimal_witness_matches_the_exhaustive_scan(a, b, m, n, length):
     assert outcome(minimal_witness, *listings(a, b), m, n, length) == expected
 
 
+def ranked_projections(h, g, m, n, length, extra=0):
+    """``witness_projections`` on each listing's global ranks, drawn
+    ``extra`` values past what the projection reads."""
+    hr = RankStream(h, 0).global_ranks(length + m + extra)
+    gr = RankStream(g, 0).global_ranks(length + n + extra)
+    return witness_projections(hr, gr, m, n, length)
+
+
 @oracle_settings
 @given(specs, specs, shifts, shifts, lengths)
 def test_sweep_matches_projected_pairs(a, b, m, n, length):
-    sweep = outcome(witness_projections, *listings(a, b), m, n, length)
+    sweep = outcome(ranked_projections, *listings(a, b), m, n, length)
     assert sweep == outcome(witness_projections_by_fractions, *listings(a, b), m, n, length)
     pairs = outcome(witness_pairs, *listings(a, b), m, n, length)
     if isinstance(pairs, Exhausted):
         assert sweep == pairs
         return
     assert sweep == (project_first(pairs), project_second(pairs))
+
+
+@oracle_settings
+@given(specs, specs, shifts, shifts, lengths, st.integers(1, 30))
+def test_sweep_reads_ranks_from_a_longer_window(a, b, m, n, length, extra):
+    # As witness_growth reads them: ranks from one window drawn past the
+    # projection keep the values' order, so the sets do not change.
+    sweep = outcome(ranked_projections, *listings(a, b), m, n, length, extra)
+    assume(not isinstance(sweep, Exhausted))
+    assert sweep == witness_projections_by_fractions(*listings(a, b), m, n, length)
 
 
 # --- the shortfall rule, case by case -----------------------------------------------
