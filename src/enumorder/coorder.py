@@ -20,21 +20,12 @@ shift cells share; ``check`` is the (0, 0) cell of a search.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .listings import Listing, ListingCutOff, ListingExhausted, SetSpec
 from .ordertype import OMEGA, OMEGA_STAR
-
-
-def _ranks(values: list[Fraction]) -> list[int]:
-    """Entry k is the rank of values[k] among the (distinct) values."""
-    ranks = [0] * len(values)
-    for rank, index in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-        ranks[index] = rank
-    return ranks
 
 
 class RankStream:
@@ -300,8 +291,9 @@ class FuelExhausted(NamedTuple):
 MatchOutcome = MatchSuccess | GapEmpty | FuelExhausted
 
 
-def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
-    """Greedy matching into a target known to be exactly ``pool``.
+def _exact_match(hs: RankStream, listing: Listing) -> MatchOutcome:
+    """Greedy matching into a target known to be exactly the values of
+    ``listing``, which has ended, for the input ranked in ``hs``.
 
     Each pick is the first pool value, in listing order, that leaves the
     rest of the input pattern embeddable. Any r distinct values inside a
@@ -312,23 +304,24 @@ def _exact_match(h_ranks: list[int], pool: list[Fraction]) -> MatchOutcome:
     lies inside a gap), so the feasible picks are one rank window. Every
     other gap passed at the previous step and is unchanged, so once the
     pool holds as many values as the pattern, no window is ever empty.
+    The input's ranks and the pool's come from rank streams over the keys.
     """
-    if len(pool) < len(h_ranks):
+    keys, size = listing.keys, len(hs.ranks[0])
+    if len(keys) < size:
         return GapEmpty(0, None, None, True, "target exhausted; no usable element in gap")
-    pool_ranks = _ranks(pool)
+    pool_ranks = RankStream(listing, 0).global_ranks(len(keys))
     placed: list[int] = []  # input ranks placed so far, ascending
     matched: list[int] = []  # pool ranks of the picks, ascending alongside
     picks: list[int] = []
-    for k, r in enumerate(h_ranks):
-        t = bisect_left(placed, r)
+    for k, (t, r) in enumerate(zip(hs.ranks[0], hs.global_ranks(size))):
         h_lo, g_lo = (placed[t - 1], matched[t - 1]) if t else (-1, -1)
-        h_hi, g_hi = (placed[t], matched[t]) if t < k else (len(h_ranks), len(pool))
+        h_hi, g_hi = (placed[t], matched[t]) if t < k else (size, len(keys))
         first, last = g_lo + (r - h_lo), g_hi - (h_hi - r)
         pick = next(p for p, q in enumerate(pool_ranks) if first <= q <= last)
         placed.insert(t, r)
         matched.insert(t, pool_ranks[pick])
         picks.append(pick)
-    return MatchSuccess(tuple(pool[p] for p in picks), tuple(picks), len(pool))
+    return MatchSuccess(tuple(Fraction(*keys[p]) for p in picks), tuple(picks), len(keys))
 
 
 def match_listing(
@@ -339,9 +332,9 @@ def match_listing(
 
     At step k the value h(k) ranks somewhere among h(0..k-1); the pick must
     land strictly inside the open gap between the corresponding already
-    chosen target values (unbounded at the ends). Both bounds come from one
-    bisection: the ranks of the placed input values and the chosen target
-    values are kept sorted side by side, and co-order makes them align.
+    chosen target values (unbounded at the ends). Both bounds come from h(k)'s
+    insertion rank t, read off a :class:`RankStream` of ``h``: co-order puts
+    the pick between entries t - 1 and t of the chosen values, kept sorted.
 
     Picks are first-fit in listing order. The target is drawn lazily, at
     most ``fuel`` values in all: a step scans the values already drawn and
@@ -369,19 +362,20 @@ def match_listing(
     the cut are unknown, not absent.
     """
     h_listing = h.listing()
-    pattern = h_listing.try_prefix(prefix_len)
-    if len(pattern) < prefix_len and h_listing.is_cut_off():
-        raise ListingExhausted(len(pattern), cut_off=True)
-    h_ranks = _ranks(pattern)
+    try:
+        h_listing.draw(prefix_len)
+    except ListingExhausted:
+        if h_listing.is_cut_off():
+            raise
+    hs = RankStream(h_listing, 0)
+    hs.draw(len(h_listing.keys) - 1)
     omega, omega_star = h.descriptor == OMEGA, h.descriptor == OMEGA_STAR
     listing = target.listing()
     walk = iter(listing)
     keys = listing.keys
-    placed: list[int] = []  # input ranks placed so far, ascending
-    matched: list[int] = []  # listing positions of the picks, by value alongside
+    matched: list[int] = []  # listing positions of the picks, by value
     picks: list[int] = []
-    for k, r in enumerate(h_ranks):
-        t = bisect_left(placed, r)
+    for k, t in enumerate(hs.ranks[0]):
         # A gap end is a key too; an unbounded end is (-1, 0) below or (1, 0)
         # above, which every key with a positive denominator passes.
         lp, lq = keys[matched[t - 1]] if t else (-1, 0)
@@ -394,7 +388,7 @@ def match_listing(
             try:
                 a, b = next(walk)
             except StopIteration:
-                return _exact_match(h_ranks, [Fraction(p, q) for p, q in keys])
+                return _exact_match(hs, listing)
             except ListingCutOff:
                 cut_off = True
                 break
@@ -410,7 +404,6 @@ def match_listing(
                     detail += "; the earlier picks fixed this gap, so nothing is refuted"
                 return GapEmpty(k, lo, hi, refutes, detail)
             return FuelExhausted(k, len(keys), cut_off)
-        placed.insert(t, r)
         matched.insert(t, pick)
         picks.append(pick)
     return MatchSuccess(tuple(Fraction(*keys[p]) for p in picks), tuple(picks), len(keys))

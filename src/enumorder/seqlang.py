@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, repeat, zip_longest
+from itertools import count, zip_longest
 from math import gcd
 from typing import Callable
 
@@ -309,18 +309,18 @@ def parse(text: str) -> SequenceExpr:
 
 # --- Evaluator ---------------------------------------------------------------
 #
-# A definition compiles once into nested closures, each giving its node's value
-# at (i, n) as a (numerator, denominator) pair reduced as Fraction reduces its
-# own arithmetic: lowest terms, positive denominator. So the pair is the value's
-# listing key as it stands, and the power cap reads the reduced base. Left
-# operands go first: when both sides fail, the same error wins.
+# A definition compiles once per family member i into nested closures, each
+# giving its node's value at n as a (numerator, denominator) pair reduced as
+# Fraction reduces its own arithmetic: lowest terms, positive denominator. So
+# the pair is the value's listing key, and the power cap reads the reduced
+# base. Left operands go first: when both sides fail, the same error wins.
 #
-# A family member fixes i, so a clause without a power is one rational function
-# P(n)/Q(n) with integer coefficients, built by polynomial arithmetic that
-# cancels only constant factors: (p/q)/(r/s) is p*s^2 / (q*r*s), so Q vanishes
-# exactly where the closures divide by zero. Elsewhere Horner, a sign fix and
-# one gcd give the closures' key. A power keeps the closures, since the power
-# cap reads the reduced base.
+# With i fixed, a clause without a power is one rational function P(n)/Q(n)
+# with integer coefficients, built by polynomial arithmetic that cancels only
+# constant factors: (p/q)/(r/s) is p*s^2 / (q*r*s), so Q vanishes exactly where
+# the closures divide by zero. Elsewhere Horner, a sign fix and one gcd give
+# the closures' key. A power keeps the closures, since the power cap reads the
+# reduced base.
 
 
 def _add(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -345,19 +345,19 @@ _ARITH = {
 }
 
 
-def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
-    if isinstance(e, Lit):
-        pair = (e.value, 1)
-        return lambda i, n: pair
-    if isinstance(e, Var):
-        return (lambda i, n: (n, 1)) if e.name == "n" else (lambda i, n: (i, 1))
+def _compile(e: Expr, i: int) -> Callable[[int], tuple[int, int]]:
+    if isinstance(e, Var) and e.name == "n":
+        return lambda n: (n, 1)
+    if isinstance(e, (Lit, Var)):
+        pair = (i if isinstance(e, Var) else e.value, 1)
+        return lambda n: pair
     if isinstance(e, Neg):  # -x is (-1) * x
-        return _compile(BinOp("*", Lit(-1), e.operand))
+        return _compile(BinOp("*", Lit(-1), e.operand), i)
     if isinstance(e, Pow):
-        base, k = _compile(e.base), e.exponent
+        base, k = _compile(e.base, i), e.exponent
 
-        def power(i: int, n: int) -> tuple[int, int]:
-            p, q = base(i, n)
+        def power(n: int) -> tuple[int, int]:
+            p, q = base(n)
             bits = max(p.bit_length(), q.bit_length()) * k
             if bits > MAX_POWER_BITS:
                 raise ValueError(
@@ -367,11 +367,12 @@ def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
             return p**k, q**k
 
         return power
-    left, right, arith, divides = _compile(e.left), _compile(e.right), _ARITH[e.op], e.op == "/"
+    left, right = _compile(e.left, i), _compile(e.right, i)
+    arith, divides = _ARITH[e.op], e.op == "/"
 
-    def binop(i: int, n: int) -> tuple[int, int]:
-        p, q = left(i, n)
-        r, s = right(i, n)
+    def binop(n: int) -> tuple[int, int]:
+        p, q = left(n)
+        r, s = right(n)
         if divides and r == 0:
             raise ZeroDivisionError(f"division by zero at (i={i}, n={n})")
         return arith(p, q, r, s)
@@ -379,14 +380,13 @@ def _compile(e: Expr) -> Callable[[int, int], tuple[int, int]]:
     return binop
 
 
-def _accepts(guard: Guard | None) -> Callable[[int, int], bool]:
-    if isinstance(guard, ParityGuard):
-        odd = guard.parity == "odd"
-        return lambda i, n: (i % 2 == 1) == odd
+def _accepts(guard: Guard | None, i: int) -> Callable[[int], bool]:
     if isinstance(guard, ThresholdGuard):
         bound, below = guard.bound, guard.op == "<"
-        return lambda i, n: (n < bound) == below
-    return lambda i, n: True
+        return lambda n: (n < bound) == below
+    # A parity guard is decided by i alone.
+    accepted = not isinstance(guard, ParityGuard) or (i % 2 == 1) == (guard.parity == "odd")
+    return lambda n: accepted
 
 
 # A clause whose P or Q passes this degree or coefficient bit length keeps its
@@ -437,15 +437,15 @@ def rational_function(e: Expr, i: int) -> tuple[list[int], list[int]] | None:
     return num, den
 
 
-def _compile_member(body: Expr, i: int) -> Callable[[int, int], tuple[int, int]]:
-    """The clause body for the family member ``i`` alone: by Horner when it
-    has a rational function, a precomputed key when that has degree 0."""
+def _compile_member(body: Expr, i: int) -> Callable[[int], tuple[int, int]]:
+    """The clause body for the family member ``i``: by Horner when it has a
+    rational function, a precomputed key when that has degree 0."""
     rational = rational_function(body, i)
     if rational is None:
-        return _compile(body)
+        return _compile(body, i)
     num, den = rational[0][::-1], rational[1][::-1]
 
-    def value(i: int, n: int) -> tuple[int, int]:
+    def value(n: int) -> tuple[int, int]:
         p = q = 0
         for c in num:
             p = p * n + c
@@ -459,27 +459,24 @@ def _compile_member(body: Expr, i: int) -> Callable[[int, int], tuple[int, int]]
         return p // g, q // g
 
     if len(num) == len(den) == 1 and den[0]:
-        key = value(i, 0)
-        return lambda i, n: key
+        key = value(0)
+        return lambda n: key
     return value
 
 
-def compile_definition(
-    expr: SequenceExpr, i: int | None = None
-) -> Callable[[int, int], tuple[int, int]]:
-    """The definition as an exact function of ``(i, n)``, giving each value as
-    its reduced (numerator, denominator) pair; the first accepting clause
-    decides. Given ``i``, it is compiled for that family member alone, to be
-    called with that i: each clause without a power goes by Horner."""
-    compile_body = _compile if i is None else lambda body: _compile_member(body, i)
+def compile_definition(expr: SequenceExpr, i: int) -> Callable[[int], tuple[int, int]]:
+    """The definition for the family member ``i`` as an exact function of
+    ``n``, giving each value as its reduced (numerator, denominator) pair; the
+    first accepting clause decides, and each clause without a power goes by
+    Horner."""
     if not isinstance(expr, Piecewise):
-        return compile_body(expr)
-    cases = [(_accepts(c.guard), compile_body(c.body)) for c in expr.clauses]
+        return _compile_member(expr, i)
+    cases = [(_accepts(c.guard, i), _compile_member(c.body, i)) for c in expr.clauses]
 
-    def value(i: int, n: int) -> tuple[int, int]:
+    def value(n: int) -> tuple[int, int]:
         for accepts, body in cases:
-            if accepts(i, n):
-                return body(i, n)
+            if accepts(n):
+                return body(n)
         raise RuntimeError("piecewise dispatch fell through a total clause list")
 
     return value
@@ -494,4 +491,4 @@ def seq_spec(expr: SequenceExpr, i: int, name: str) -> SetSpec:
     on old values for ``DEDUP_RUN_LIMIT`` steps in a row is cut off there.
     """
     value = compile_definition(expr, i)
-    return SetSpec(name, lambda: map(value, repeat(i), count(1)))
+    return SetSpec(name, lambda: map(value, count(1)))

@@ -248,10 +248,10 @@ def test_criterion_7_parser_fidelity():
     """The transcribed block-family definition evaluates identically to the
     built-in construction; printing and reparsing preserves random ASTs."""
     expr = parse("case i odd: (i-1) + (n-1)/n ; case i even: i - (n-1)/n")
-    value = compile_definition(expr)
     family_ok = all(
-        Fraction(*value(i, n)) == build_T(i).listing().value_at(n - 1)
+        Fraction(*value(n)) == build_T(i).listing().value_at(n - 1)
         for i in range(1, 7)
+        for value in [compile_definition(expr, i)]
         for n in range(1, 101)
     )
     rng = random.Random(707)

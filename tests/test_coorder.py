@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from enumorder import coorder, listings
 from enumorder.coorder import (
     FuelExhausted,
     GapEmpty,
@@ -389,6 +390,34 @@ def test_match_restarts_exactly_when_the_target_ends_within_fuel():
     )
     assert type(outcome) is MatchSuccess
     assert outcome == MatchSuccess((F(1), F(2)), (1, 0), 2)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        # The stream ends within fuel, so the match restarts exactly.
+        lambda: finite_listing([F(v) for v in "5 -1 7/2 0 9 1/3 -4 2 11/2 3".split()]),
+        lambda: rationals_in_interval(F(-5), F(5)),  # first-fit throughout
+    ],
+    ids=["exact", "first-fit"],
+)
+def test_match_builds_a_fraction_only_for_each_value_it_reports(monkeypatch, target):
+    # A:3 inserts into the middle of its rank window, so each step's gap has
+    # picks on both sides. Order facts come from integer ranks and key
+    # products; a Fraction is built for each of the 8 reported values alone.
+    h, target = build_A(3), target()
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(coorder, "Fraction", Counted)
+    monkeypatch.setattr(listings, "Fraction", Counted)
+    outcome = match_listing(h, target, 8, 5000)
+    assert isinstance(outcome, MatchSuccess) and len(outcome.values) == 8
+    assert len(built) == 8
 
 
 def test_match_without_oracle_is_inconclusive():

@@ -40,9 +40,9 @@ def F(*args):
 
 
 def evaluator(expr):
-    """The compiled definition, each reduced pair it gives read as its Fraction."""
-    value = compile_definition(expr)
-    return lambda i, n: Fraction(*value(i, n))
+    """The definition compiled for each i, each reduced pair it gives read as
+    its Fraction."""
+    return lambda i, n: Fraction(*compile_definition(expr, i)(n))
 
 
 # --- parsing -------------------------------------------------------------------
